@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .benchgen import (MECHANISMS, QUOTA_MODELS, UNIFORM, BenchError, GenConfig,
                        PlanCell, _run_one, generate, run_bench, sample_consent,
@@ -55,10 +55,21 @@ def _assignment_json(inst: Instance, m) -> dict:
     return {a: m.school_of(a) for a in inst.students}
 
 
-def _sorted_edges(inst: Instance, edges) -> list[tuple[str, str]]:
-    si = {a: i for i, a in enumerate(inst.students)}
-    bi = {b: j for j, b in enumerate(inst.schools)}
-    return sorted(edges, key=lambda e: (si[e[0]], bi[e[1]]))
+def _sorted_edges(inst: Instance, edges) -> Iterator[tuple[str, str]]:
+    """The instance edges that are in ``edges``, by student then school index.
+
+    A pass over the schools' rows in index order drops each school into the
+    bucket of every student it lists, so every bucket comes out sorted.
+    The edges are yielded one student at a time, so the caller's output is
+    the only full-size list.
+    """
+    students, schools = inst.students, inst.schools
+    buckets: list[list[int]] = [[] for _ in students]
+    for j, row in enumerate(inst._b_pref):
+        for i in row:
+            buckets[i].append(j)
+    for a, row in zip(students, buckets):
+        yield from filter(edges.__contains__, [(a, schools[j]) for j in row])
 
 
 def _print_counters(counts: tuple[int, int, int, int, int]) -> None:

@@ -8,6 +8,7 @@ is always an agent's least preferred outcome.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -43,13 +44,35 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
 
+#: An identifier is what the file format can write back: one token with no
+#: whitespace, no comment mark, no name separator and no quota brackets.
+_IDENTIFIER = re.compile(r"[^\s#:\[\]]+")
+
+
+def _row_fault(kind: str, owner: str, names: Sequence[str],
+               index: Mapping[str, int], listed: str) -> None:
+    """Raise for the first unknown or repeated name of a row known to hold one."""
+    seen = set()
+    for x in names:
+        k = index.get(x)
+        if k is None:
+            raise InvalidInstanceError(f"{kind} {owner!r} ranks unknown {listed} {x!r}")
+        if k in seen:
+            raise InvalidInstanceError(f"{kind} {owner!r} ranks {listed} {x!r} twice")
+        seen.add(k)
+    raise AssertionError("row has no fault")
+
+
 class Instance:
     """Immutable one-to-many market.
 
-    Construction validates all structural invariants.  Identifiers are opaque
-    strings; internally agents are densely indexed and every preference cell
-    carries the cross rank of the owner on the listed agent's list, so solver
-    comparisons are plain integer comparisons.
+    Construction validates all structural invariants in one index-level
+    pass.  Identifiers are opaque strings that the file format can write
+    back: non-empty, free of whitespace and of the characters ``#:[]``, and
+    neither ``students`` nor ``schools``.  Internally agents are densely
+    indexed and every preference cell carries the cross rank of the owner on
+    the listed agent's list, so solver comparisons are plain integer
+    comparisons.
     """
 
     __slots__ = (
@@ -77,13 +100,20 @@ class Instance:
         overlap = s_index.keys() & b_index.keys()
         if overlap:
             raise InvalidInstanceError(f"identifier on both sides: {sorted(overlap)[0]!r}")
+        for kind, ids in (("student", self._students), ("school", self._schools)):
+            for x in ids:
+                if not isinstance(x, str) or not _IDENTIFIER.fullmatch(x) or x in SIDES:
+                    raise InvalidInstanceError(
+                        f"{kind} identifier {x!r} is not valid; identifiers are non-empty, "
+                        "contain no whitespace and none of '#:[]', and are not "
+                        f"{STUDENTS!r} or {SCHOOLS!r}")
         self._s_index = s_index
         self._b_index = b_index
 
         quotas = []
         for b in self._schools:
             q = quota.get(b, 1)
-            if not isinstance(q, int) or q < 1:
+            if isinstance(q, bool) or not isinstance(q, int) or q < 1:
                 raise InvalidInstanceError(f"school {b!r} has quota {q!r}; quotas must be integers >= 1")
             quotas.append(q)
         for b in quota:
@@ -98,66 +128,62 @@ class Instance:
             if b not in b_index:
                 raise InvalidInstanceError(f"preference list for unknown school {b!r}")
 
+        # Each name row resolves to an index row; a repeat shows as a rank
+        # dict (or set) smaller than its row.
         s_pref: list[list[int]] = []
         for a in self._students:
-            row = []
-            seen = set()
-            for b in student_prefs.get(a, ()):
-                j = b_index.get(b)
-                if j is None:
-                    raise InvalidInstanceError(f"student {a!r} ranks unknown school {b!r}")
-                if j in seen:
-                    raise InvalidInstanceError(f"student {a!r} ranks school {b!r} twice")
-                seen.add(j)
-                row.append(j)
+            names = student_prefs.get(a, ())
+            try:
+                row = [b_index[b] for b in names]
+            except KeyError:
+                row = None
+            if row is None or len(set(row)) != len(row):
+                _row_fault("student", a, names, b_index, "school")
             s_pref.append(row)
         b_pref: list[list[int]] = []
+        b_rank: list[dict[int, int]] = []
         for b in self._schools:
-            row = []
-            seen = set()
-            for a in school_prefs.get(b, ()):
-                i = s_index.get(a)
-                if i is None:
-                    raise InvalidInstanceError(f"school {b!r} ranks unknown student {a!r}")
-                if i in seen:
-                    raise InvalidInstanceError(f"school {b!r} ranks student {a!r} twice")
-                seen.add(i)
-                row.append(i)
+            names = school_prefs.get(b, ())
+            try:
+                row = [s_index[a] for a in names]
+            except KeyError:
+                row = None
+            rank = {} if row is None else dict(zip(row, range(len(row))))
+            if row is None or len(rank) != len(row):
+                _row_fault("school", b, names, s_index, "student")
             b_pref.append(row)
+            b_rank.append(rank)
 
-        # adjacency symmetry + cross ranks
-        b_rank_of = [{a: r for r, a in enumerate(row)} for row in b_pref]
-        s_rank_of = [{b: r for r, b in enumerate(row)} for row in s_pref]
+        # Cross ranks: a student cell missing from the school's rank dict is
+        # asymmetric; the found ones are scattered into the school side.
+        # Distinct student cells fill distinct school cells, so equal edge
+        # counts mean every school cell was reached.
         s_srank: list[list[int]] = []
+        b_rrank: list[list[int | None]] = [[None] * len(row) for row in b_pref]
         for i, row in enumerate(s_pref):
-            cranks = []
-            for j in row:
-                r = b_rank_of[j].get(i)
-                if r is None:
-                    raise InvalidInstanceError(
-                        f"asymmetric adjacency: {self._students[i]!r} ranks "
-                        f"{self._schools[j]!r} but not vice versa")
-                cranks.append(r)
+            try:
+                cranks = [b_rank[j][i] for j in row]
+            except KeyError:
+                j = next(j for j in row if i not in b_rank[j])
+                raise InvalidInstanceError(
+                    f"asymmetric adjacency: {self._students[i]!r} ranks "
+                    f"{self._schools[j]!r} but not vice versa") from None
+            for r, j in enumerate(row):
+                b_rrank[j][cranks[r]] = r
             s_srank.append(cranks)
-        b_rrank: list[list[int]] = []
-        n_edges = 0
-        for j, row in enumerate(b_pref):
-            cranks = []
-            for i in row:
-                r = s_rank_of[i].get(j)
-                if r is None:
-                    raise InvalidInstanceError(
-                        f"asymmetric adjacency: {self._schools[j]!r} ranks "
-                        f"{self._students[i]!r} but not vice versa")
-                cranks.append(r)
-            n_edges += len(row)
-            b_rrank.append(cranks)
+        n_edges = sum(map(len, s_pref))
+        if sum(map(len, b_pref)) != n_edges:
+            j, cranks = next((j, row) for j, row in enumerate(b_rrank) if None in row)
+            raise InvalidInstanceError(
+                f"asymmetric adjacency: {self._schools[j]!r} ranks "
+                f"{self._students[b_pref[j][cranks.index(None)]]!r} but not vice versa")
 
         self._s_pref = s_pref
         self._b_pref = b_pref
         self._s_srank = s_srank
         self._b_rrank = b_rrank
         self._n_edges = n_edges
+        self.__dict__["_b_rank"] = b_rank  # the cached property's value
 
     @classmethod
     def _from_arrays(
@@ -441,6 +467,8 @@ def parse_instance(text: str) -> Instance:
     """
     students: list[str] | None = None
     schools: list[str] | None = None
+    student_set: set[str] | None = None
+    school_set: set[str] | None = None
     quota: dict[str, int] = {}
     s_prefs: dict[str, list[str]] = {}
     b_prefs: dict[str, list[str]] = {}
@@ -459,6 +487,7 @@ def parse_instance(text: str) -> Instance:
             if students is not None:
                 raise ParseError("duplicate students: line", lineno)
             students = line[len("students:"):].split()
+            student_set = set(students)
             continue
         if line.startswith("schools:"):
             if schools is not None:
@@ -478,19 +507,20 @@ def parse_instance(text: str) -> Instance:
                     quota[name] = q
                 else:
                     schools.append(tok)
+            school_set = set(schools)
             continue
         if ":" not in line:
             raise ParseError(f"cannot parse {line!r}", lineno)
         name, _, rest = line.partition(":")
         name = name.strip()
         entries = rest.split()
-        if students is None or schools is None:
+        if student_set is None or school_set is None:
             raise ParseError("preference line before students:/schools: rosters", lineno)
         if name in s_prefs or name in b_prefs:
             raise ParseError(f"duplicate preference line for {name!r}", lineno)
-        if name in set(students):
+        if name in student_set:
             s_prefs[name] = entries
-        elif name in set(schools):
+        elif name in school_set:
             b_prefs[name] = entries
         else:
             raise ParseError(f"unknown identifier {name!r}", lineno)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import not_
 
 from .engine import (CONSENT, ENUMERATE, LEGAL, EngineCounters, EngineRun,
                      all_rotations, school_side_run, student_side_run)
@@ -163,12 +165,38 @@ def legal_subinstance(inst: Instance) -> LegalSubinstanceReport:
         raise AssertionError("legal edge set differs between the two walks")
 
     legal = frozenset(from_bottom)
-    illegal = frozenset(e for e in inst.edges() if e not in legal)
-    sp = {a: [b for b in inst.student_prefs[a] if (a, b) in legal]
-          for a in inst.students}
-    bp = {b: [a for a in inst.school_prefs[b] if (a, b) in legal]
-          for b in inst.schools}
-    sub = Instance(inst.students, inst.schools, inst.quota, sp, bp)
-    return LegalSubinstanceReport(sub, legal, illegal, up.assignment,
-                                  down.assignment, rotations,
+    schools = inst.schools
+    illegal: list[tuple[str, str]] = []
+    s_keep: list[bytes] = []
+    for a, row in zip(inst.students, inst._s_pref):
+        cells = [(a, schools[j]) for j in row]
+        keep = bytes(map(legal.__contains__, cells))
+        illegal += compress(cells, map(not_, keep))
+        s_keep.append(keep)
+    return LegalSubinstanceReport(_restrict(inst, s_keep), legal, frozenset(illegal),
+                                  up.assignment, down.assignment, rotations,
                                   _sum_counters([up, down, mid]))
+
+
+def _restrict(inst: Instance, s_keep: list[bytes]) -> Instance:
+    """The instance without the edges whose student-side keep flag is 0.
+
+    The school side's flags follow through the cross ranks.  A kept cell's
+    new position is the number of kept cells up to and including it, minus
+    one.
+    """
+    b_keep = [bytearray(len(row)) for row in inst._b_pref]
+    for row, cranks, keep in zip(inst._s_pref, inst._s_srank, s_keep):
+        for j, c in compress(zip(row, cranks), keep):
+            b_keep[j][c] = 1
+    s_pos = [list(accumulate(keep)) for keep in s_keep]
+    b_pos = [list(accumulate(keep)) for keep in b_keep]
+    s_srank = [[b_pos[j][c] - 1 for j, c in compress(zip(row, cranks), keep)]
+               for row, cranks, keep in zip(inst._s_pref, inst._s_srank, s_keep)]
+    b_rrank = [[s_pos[i][c] - 1 for i, c in compress(zip(row, cranks), keep)]
+               for row, cranks, keep in zip(inst._b_pref, inst._b_rrank, b_keep)]
+    return Instance._from_arrays(
+        inst.students, inst.schools, inst._quota,
+        [list(compress(row, keep)) for row, keep in zip(inst._s_pref, s_keep)],
+        [list(compress(row, keep)) for row, keep in zip(inst._b_pref, b_keep)],
+        s_srank, b_rrank)

@@ -1,11 +1,16 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legalassign import fixture_path
-from legalassign.cli import main
+from legalassign.cli import _sorted_edges, main
+
+from _markets import random_market
 
 
 def fx(name):
@@ -214,3 +219,14 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "1 B\n2 A\n3 C\n"
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_sorted_edges_orders_by_student_then_school_index(seed):
+    rng = random.Random(seed)
+    inst = random_market(rng)
+    edges = frozenset(e for e in inst.edges() if rng.random() < 0.5)
+    si = {a: i for i, a in enumerate(inst.students)}
+    bi = {b: j for j, b in enumerate(inst.schools)}
+    assert list(_sorted_edges(inst, edges)) == sorted(edges, key=lambda e: (si[e[0]], bi[e[1]]))

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,49 @@ def test_parse_rejects_malformed(text, fragment):
         parse_instance(text)
     if fragment is not None:
         assert fragment in str(err.value)
+
+
+def test_quota_rejects_bool():
+    with pytest.raises(InvalidInstanceError,
+                       match=r"school 'c' has quota True; quotas must be integers >= 1"):
+        Instance(["a"], ["c"], {"c": True}, {"a": ["c"]}, {"c": ["a"]})
+
+
+@pytest.mark.parametrize("students, schools", [
+    (["a#1"], ["c"]),
+    (["a"], ["c:1"]),
+    (["a 1"], ["c"]),
+    (["a"], ["c\u2028d"]),
+    ([""], ["c"]),
+    (["a"], ["b[2]"]),
+    (["a]"], ["c"]),
+    (["students"], ["c"]),
+    (["a"], ["schools"]),
+    (["a"], ["students"]),
+    ([1], ["c"]),
+])
+def test_rejects_identifiers_the_format_cannot_write(students, schools):
+    with pytest.raises(InvalidInstanceError, match="is not valid"):
+        Instance(students, schools, {}, {}, {})
+
+
+# Students a, e and schools c, d; each case has exactly one fault, except
+# the last, where the row's first fault (the repeat) is the one reported.
+@pytest.mark.parametrize("s_prefs, b_prefs, message", [
+    ({"a": ["c", "x"]}, {"c": ["a"]}, "student 'a' ranks unknown school 'x'"),
+    ({"a": ["c"]}, {"c": ["a", "x"]}, "school 'c' ranks unknown student 'x'"),
+    ({"a": ["c", "c"]}, {"c": ["a"]}, "student 'a' ranks school 'c' twice"),
+    ({"a": ["c"]}, {"c": ["a", "a"]}, "school 'c' ranks student 'a' twice"),
+    ({"a": ["c", "d"], "e": ["d"]}, {"c": ["a"], "d": ["e"]},
+     "asymmetric adjacency: 'a' ranks 'd' but not vice versa"),
+    ({"a": ["c"]}, {"c": ["a"], "d": ["e", "a"]},
+     "asymmetric adjacency: 'd' ranks 'e' but not vice versa"),
+    ({"a": ["c", "c", "x"]}, {"c": ["a"]}, "student 'a' ranks school 'c' twice"),
+])
+def test_validation_messages(s_prefs, b_prefs, message):
+    with pytest.raises(InvalidInstanceError) as err:
+        Instance(["a", "e"], ["c", "d"], {}, s_prefs, b_prefs)
+    assert str(err.value) == message
 
 
 def test_text_round_trip(ex1, ex2, ex3):
@@ -138,6 +183,70 @@ def test_reduction_preserves_stability(ex2):
 def test_round_trip_random(seed):
     inst = random_market(random.Random(seed))
     assert parse_instance(inst.to_text()) == inst
+
+
+def _writable(x: str) -> bool:
+    return (x != "" and x not in ("students", "schools")
+            and not any(c.isspace() or c in "#:[]" for c in x))
+
+
+@st.composite
+def valid_instances(draw) -> Instance:
+    ids = draw(st.lists(st.text(min_size=1, max_size=5).filter(_writable),
+                        max_size=10, unique=True))
+    k = draw(st.integers(0, len(ids)))
+    students, schools = ids[:k], ids[k:]
+    quota = {b: draw(st.integers(1, 10 ** 6)) for b in schools if draw(st.booleans())}
+    edges = [(a, b) for a in students for b in schools if draw(st.booleans())]
+    s_prefs = {a: draw(st.permutations([b for x, b in edges if x == a])) for a in students}
+    b_prefs = {b: draw(st.permutations([a for a, y in edges if y == b])) for b in schools}
+    return Instance(students, schools, quota, s_prefs, b_prefs)
+
+
+@given(valid_instances())
+@settings(max_examples=200, deadline=None)
+def test_round_trip_any_valid_instance(inst):
+    assert parse_instance(inst.to_text()) == inst
+
+
+@given(st.text(max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_constructor_accepts_exactly_writable_ids(name):
+    try:
+        inst = Instance([name], [], {}, {}, {})
+    except InvalidInstanceError:
+        assert not _writable(name)
+    else:
+        assert _writable(name)
+        assert parse_instance(inst.to_text()) == inst
+
+
+def _top1_text(n: int, n_schools: int = 20) -> str:
+    """n students, each listing one school; school j lists students j, j + 20, ..."""
+    lines = ["instance v1",
+             "students: " + " ".join(f"a{i}" for i in range(n)),
+             "schools: " + " ".join(f"b{j}" for j in range(n_schools))]
+    lines += [f"a{i}: b{i % n_schools}" for i in range(n)]
+    lines += [f"b{j}: " + " ".join(f"a{i}" for i in range(j, n, n_schools))
+              for j in range(n_schools)]
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_scales_linearly():
+    sizes = (2000, 4000, 8000, 16000)
+    texts = [_top1_text(n) for n in sizes]
+    times = [math.inf] * len(sizes)
+    for _ in range(3):  # interleaved, so a slow spell of the machine hits every size
+        for k, text in enumerate(texts):
+            t0 = time.perf_counter()
+            parse_instance(text)
+            times[k] = min(times[k], time.perf_counter() - t0)
+    xs = [math.log(n) for n in sizes]
+    ys = [math.log(t) for t in times]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+             / sum((x - mx) ** 2 for x in xs))
+    assert slope < 1.4, f"parse_instance times {times} give log-log slope {slope:.2f}"
 
 
 @given(st.integers(0, 10 ** 6))

@@ -3,8 +3,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legalassign import (Assignment, dominates, enumerate_stable, gs_student,
-                         is_stable, legal_fixed_point, legal_subinstance,
+from legalassign import (Assignment, Instance, dominates, enumerate_stable,
+                         gs_student, is_stable, legal_fixed_point, legal_subinstance,
                          rotate_remove, school_optimal_legal, stable_edges,
                          student_optimal_legal)
 
@@ -114,3 +114,20 @@ def test_subinstance_optima_are_stable_in_it(seed):
     report = legal_subinstance(inst)
     assert is_stable(report.instance, report.student_optimal)
     assert is_stable(report.instance, report.school_optimal)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_subinstance_matches_a_validating_build(seed):
+    inst = random_market(random.Random(seed))
+    report = legal_subinstance(inst)
+    legal = report.legal_edges
+    built = Instance(inst.students, inst.schools, inst.quota,
+                     {a: [b for b in row if (a, b) in legal]
+                      for a, row in inst.student_prefs.items()},
+                     {b: [a for a in row if (a, b) in legal]
+                      for b, row in inst.school_prefs.items()})
+    sub = report.instance
+    assert sub == built
+    assert (sub._s_srank, sub._b_rrank) == (built._s_srank, built._b_rrank)
+    assert report.illegal_edges == frozenset(inst.edges()) - legal
