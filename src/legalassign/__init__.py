@@ -4,13 +4,17 @@ The package solves one-to-many bipartite markets with strict preferences.
 Entry points by module:
 
   model          instances, assignments, blocking pairs, the seat reduction
-  gs             deferred acceptance (event-driven and round-traced)
-  rotations      exposed rotations, rotation digraphs, elimination
-  rotate_remove  linear-time walks to the legal optima and the legal subgraph
+  gs             deferred acceptance (event-driven and round-traced), and
+                 `Counters`, the operation counts every solver result carries
+  rotations      exposed rotations, rotation digraphs, elimination, sigma
+  engine         the linear-time path-following walks, `all_rotations`
+  rotate_remove  the legal optima and the legal subinstance
   eadam          priority waiving with consent, three equivalent mechanisms
-  oracle         brute-force enumeration of stable and legal sets
+  oracle         brute-force enumeration of stable and legal sets, and the
+                 constrained-efficiency check; no solver module imports it
   latin          markets whose mutual ranks form a Latin square
-  benchgen       random market generators and the benchmark harness
+  benchgen       the mechanism table, random market generators and the
+                 benchmark harness
   cli            the `legalassign` command
 """
 
@@ -19,11 +23,10 @@ from pathlib import Path
 from .benchgen import (BenchError, BenchRecord, EqualityViolation, GenConfig,
                        MechanismTimeout, PlanCell, generate, run_bench,
                        sample_consent, write_csv)
-from .eadam import (ConsentSet, EadamResult, is_constrained_efficient,
-                    kesten_eadam, rotate_remove_consent, simplified_eadam,
-                    underdemanded_schools)
-from .engine import EngineCounters, EngineRun, school_side_run, student_side_run
-from .gs import (GSCounters, GSResult, TracedGS, gs_school, gs_student,
+from .eadam import (ConsentSet, EadamResult, kesten_eadam, rotate_remove_consent,
+                    simplified_eadam, underdemanded_schools)
+from .engine import EngineRun, all_rotations, school_side_run, student_side_run
+from .gs import (Counters, GSResult, TracedGS, gs_school, gs_student,
                  gs_student_traced, interrupting_pairs)
 from .latin import (LatinSquare, auxiliary_instance, diagonal_matching,
                     format_latin, instance_from_latin, latin_check, latin_stable,
@@ -33,14 +36,14 @@ from .model import (Assignment, Instance, InvalidInstanceError, OneToOneReductio
                     dominates, is_blocking_pair, is_stable, parse_instance,
                     reduce_one_to_one)
 from .oracle import (OracleCapError, blocking_digraph, enumerate_assignments,
-                     enumerate_stable, legal_edges_brute, legal_fixed_point,
-                     verify_legal_property)
+                     enumerate_stable, is_constrained_efficient,
+                     legal_edges_brute, legal_fixed_point, verify_legal_property)
 from .rotate_remove import (LegalSubinstanceReport, legal_subinstance,
                             rotate_remove, school_optimal_legal, stable_edges,
                             student_optimal_legal)
-from .rotations import (Rotation, RotationDigraph, all_rotations,
-                        build_rotation_digraph, eliminate, exposed_rotations,
-                        next_agent, sigma, sigma_inverse, successor)
+from .rotations import (Rotation, RotationDigraph, build_rotation_digraph,
+                        eliminate, exposed_rotations, next_agent, sigma,
+                        sigma_inverse, successor)
 
 __version__ = "0.1.0"
 

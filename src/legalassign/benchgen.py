@@ -16,15 +16,14 @@ import math
 import os
 import time
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, NamedTuple
 
 import numpy as np
 
 from .eadam import ConsentSet, kesten_eadam, rotate_remove_consent, simplified_eadam
-from .engine import EngineRun
-from .gs import gs_student
+from .gs import Counters, gs_student
 from .model import SCHOOLS, STUDENTS, Assignment, Instance, InvalidInstanceError
 from .rotate_remove import legal_subinstance, rotate_remove
 
@@ -40,18 +39,65 @@ RNG_VERSION = f"numpy-{np.__version__}"
 _STREAM_INSTANCE = 1
 _STREAM_CONSENT = 2
 
-MECHANISMS = (
-    "gs",
-    "eadam",
-    "eadam-simplified",
-    "eadam-fast",
-    "legal-student-opt",
-    "legal-school-opt",
-    "legal-subgraph",
-)
 
-#: The three algorithms whose outputs must coincide on every input.
-_EADAM_TRIO = ("eadam", "eadam-simplified", "eadam-fast")
+class Mechanism(NamedTuple):
+    #: (instance, consent) -> (comparable output, counters)
+    run: Callable[[Instance, ConsentSet | None], tuple[object, Counters]]
+    #: reads the consent set; all such forms must give the same assignment
+    consent: bool = False
+    #: a readable baseline that re-runs deferred acceptance many times, so it
+    #: is run only when named
+    reference: bool = False
+
+
+def _assigned(res) -> tuple[Assignment, Counters]:
+    return res.assignment, res.counters
+
+
+def _legal_edges(rep) -> tuple[frozenset[tuple[str, str]], Counters]:
+    return rep.legal_edges, rep.counters
+
+
+# The solvers are looked up as module globals at call time, so a caller
+# may swap one out (the benchmark's tracer does).
+_TABLE = {
+    "gs": Mechanism(lambda inst, consent: _assigned(gs_student(inst))),
+    "eadam": Mechanism(lambda inst, consent: _assigned(kesten_eadam(inst, consent)),
+                       consent=True, reference=True),
+    "eadam-simplified": Mechanism(
+        lambda inst, consent: _assigned(simplified_eadam(inst, consent)),
+        consent=True, reference=True),
+    "eadam-fast": Mechanism(
+        lambda inst, consent: _assigned(rotate_remove_consent(inst, consent)),
+        consent=True),
+    "legal-student-opt": Mechanism(
+        lambda inst, consent: _assigned(rotate_remove(inst, SCHOOLS))),
+    "legal-school-opt": Mechanism(
+        lambda inst, consent: _assigned(rotate_remove(inst, STUDENTS))),
+    "legal-subgraph": Mechanism(
+        lambda inst, consent: _legal_edges(legal_subinstance(inst))),
+}
+
+MECHANISMS = tuple(_TABLE)
+#: The forms that take a consent set; their outputs must coincide on every input.
+CONSENT_MECHANISMS = tuple(m for m, e in _TABLE.items() if e.consent)
+#: What a plan cell runs by default: every mechanism but the reference forms.
+PRODUCTION_MECHANISMS = tuple(m for m, e in _TABLE.items() if not e.reference)
+
+
+class Counts(NamedTuple):
+    """The counter columns of a bench row and of ``solve --counters``."""
+    proposals: int
+    edge_scans: int          # walk scans plus deferred-acceptance cells
+    rotations_eliminated: int
+    edges_removed: int
+    gs_reruns: int           # deferred-acceptance runs after the first
+
+    @classmethod
+    def of(cls, c: Counters) -> Counts:
+        return cls(c.proposals, c.total_scans, c.rotations_eliminated,
+                   c.edges_removed, c.gs_runs - 1)
+
 
 CSV_COLUMNS = (
     "instance_id",
@@ -64,12 +110,7 @@ CSV_COLUMNS = (
     "seed",
     "repetition",
     "wall_time_ms",
-    "proposals",
-    "edge_scans",
-    "rotations_eliminated",
-    "edges_removed",
-    "gs_reruns",
-)
+) + Counts._fields
 
 
 class BenchError(RuntimeError):
@@ -242,9 +283,7 @@ class BenchRecord:
     def __post_init__(self) -> None:
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism: {self.mechanism!r}")
-        low = min(self.proposals, self.edge_scans, self.rotations_eliminated,
-                  self.edges_removed, self.gs_reruns)
-        if low < 0:
+        if min(getattr(self, f) for f in Counts._fields) < 0:
             raise ValueError("counters must be non-negative")
 
     def csv_row(self) -> list[str]:
@@ -259,11 +298,7 @@ class BenchRecord:
             str(self.seed),
             str(self.repetition),
             f"{self.wall_time_ms:.3f}",
-            str(self.proposals),
-            str(self.edge_scans),
-            str(self.rotations_eliminated),
-            str(self.edges_removed),
-            str(self.gs_reruns),
+            *(str(getattr(self, f)) for f in Counts._fields),
         ]
 
 
@@ -273,7 +308,7 @@ class PlanCell:
     consent rates to sample, and how many times to re-time each run."""
 
     config: GenConfig
-    mechanisms: tuple[str, ...] = MECHANISMS
+    mechanisms: tuple[str, ...] = PRODUCTION_MECHANISMS
     consent_rates: tuple[float, ...] = (1.0,)
     repetitions: int = 1
 
@@ -297,44 +332,13 @@ def instance_id(cfg: GenConfig) -> str:
             f"{cfg.quota_model}-s{cfg.seed}")
 
 
-def _run_one(mechanism: str, inst: Instance, consent: ConsentSet,
-             ) -> tuple[object, tuple[int, int, int, int, int]]:
-    """Run one mechanism; return its comparable output and the counter tuple
-    (proposals, edge_scans, rotations_eliminated, edges_removed, gs_reruns)."""
-    if mechanism == "gs":
-        res = gs_student(inst)
-        c = res.counters
-        return res.assignment, (c.proposals, c.cells_scanned, 0, 0, 0)
-    if mechanism == "eadam":
-        r = kesten_eadam(inst, consent)
-        return r.assignment, (r.gs.proposals, r.gs.cells_scanned, 0,
-                              len(r.removed_edges), r.gs_runs - 1)
-    if mechanism == "eadam-simplified":
-        r = simplified_eadam(inst, consent)
-        return r.assignment, (r.gs.proposals, r.gs.cells_scanned, 0,
-                              len(r.removed_edges), r.gs_runs - 1)
-    if mechanism == "eadam-fast":
-        run = rotate_remove_consent(inst, consent)
-        return run.assignment, _engine_counts(run, gs_reruns=0)
-    if mechanism == "legal-student-opt":
-        run = rotate_remove(inst, SCHOOLS)
-        return run.assignment, _engine_counts(run, gs_reruns=0)
-    if mechanism == "legal-school-opt":
-        run = rotate_remove(inst, STUDENTS)
-        return run.assignment, _engine_counts(run, gs_reruns=0)
-    if mechanism == "legal-subgraph":
-        rep = legal_subinstance(inst)
-        c = rep.counters
-        # three independent solver passes, hence two reruns
-        return rep.legal_edges, (c.gs.proposals, c.total_scans,
-                                 c.rotations_eliminated, c.edges_removed, 2)
-    raise ValueError(f"unknown mechanism: {mechanism!r}")
-
-
-def _engine_counts(run: EngineRun, gs_reruns: int) -> tuple[int, int, int, int, int]:
-    c = run.counters
-    return (c.gs.proposals, c.total_scans, c.rotations_eliminated,
-            c.edges_removed, gs_reruns)
+def _run_one(mechanism: str, inst: Instance, consent: ConsentSet | None,
+             ) -> tuple[object, Counts]:
+    """Run one mechanism; return its comparable output and its counts."""
+    if mechanism not in _TABLE:
+        raise ValueError(f"unknown mechanism: {mechanism!r}")
+    out, counters = _TABLE[mechanism].run(inst, consent)
+    return out, Counts.of(counters)
 
 
 def _write_reproducer(base_dir: str | None, iid: str, inst: Instance,
@@ -370,7 +374,7 @@ def _write_reproducer(base_dir: str | None, iid: str, inst: Instance,
 def _check_agreement(outputs: dict[str, object], inst: Instance,
                      consent: ConsentSet, cfg: GenConfig, rate: float,
                      iid: str, repro_dir: str | None) -> None:
-    ran = [m for m in _EADAM_TRIO if m in outputs]
+    ran = [m for m in CONSENT_MECHANISMS if m in outputs]
     if len(ran) < 2:
         return
     baseline = outputs[ran[0]]

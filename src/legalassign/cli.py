@@ -23,7 +23,8 @@ import sys
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .benchgen import (MECHANISMS, QUOTA_MODELS, UNIFORM, BenchError, GenConfig,
+from .benchgen import (CONSENT_MECHANISMS, MECHANISMS, PRODUCTION_MECHANISMS,
+                       QUOTA_MODELS, UNIFORM, BenchError, Counts, GenConfig,
                        PlanCell, _run_one, generate, run_bench, sample_consent,
                        write_csv)
 from .eadam import ConsentSet
@@ -34,9 +35,6 @@ from .oracle import (DEFAULT_CAP, OracleCapError, enumerate_stable,
                      legal_fixed_point, verify_legal_property)
 from .rotate_remove import legal_subinstance
 
-_CONSENT_MECHANISMS = ("eadam", "eadam-simplified", "eadam-fast")
-_COUNTER_KEYS = ("proposals", "edge_scans", "rotations_eliminated",
-                 "edges_removed", "gs_reruns")
 _DOMAIN_ERRORS = (ValueError, OSError, OracleCapError, BenchError)
 
 
@@ -72,8 +70,8 @@ def _sorted_edges(inst: Instance, edges) -> Iterator[tuple[str, str]]:
         yield from filter(edges.__contains__, [(a, schools[j]) for j in row])
 
 
-def _print_counters(counts: tuple[int, int, int, int, int]) -> None:
-    for key, value in zip(_COUNTER_KEYS, counts):
+def _print_counters(counts: Counts) -> None:
+    for key, value in zip(counts._fields, counts):
         print(f"{key}={value}", file=sys.stderr)
 
 
@@ -92,17 +90,15 @@ def _parse_consent(args, inst: Instance) -> ConsentSet | None:
 def _cmd_solve(args) -> int:
     inst = parse_instance(_read(args.input))
     if ((args.consent is not None or args.consent_rate is not None)
-            and args.mechanism not in _CONSENT_MECHANISMS):
+            and args.mechanism not in CONSENT_MECHANISMS):
         print("error: --consent/--consent-rate apply only to "
-              + ", ".join(_CONSENT_MECHANISMS), file=sys.stderr)
+              + ", ".join(CONSENT_MECHANISMS), file=sys.stderr)
         return 2
     consent = _parse_consent(args, inst)
 
     if args.mechanism == "legal-subgraph":
         rep = legal_subinstance(inst)
-        c = rep.counters
-        counts = (c.gs.proposals, c.total_scans, c.rotations_eliminated,
-                  c.edges_removed, 2)
+        counts = Counts.of(rep.counters)
         legal = _sorted_edges(inst, rep.legal_edges)
         illegal = _sorted_edges(inst, rep.illegal_edges)
         if args.format == "json":
@@ -313,8 +309,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_market_flags(bp)
     bp.add_argument("--seeds", default="0",
                     help="comma-separated instance seeds (one plan cell each)")
-    bp.add_argument("--mechanisms", default=",".join(MECHANISMS),
-                    help="comma-separated subset of: " + ", ".join(MECHANISMS))
+    bp.add_argument("--mechanisms", default=",".join(PRODUCTION_MECHANISMS),
+                    help="comma-separated subset of: " + ", ".join(MECHANISMS)
+                         + " (default: " + ", ".join(PRODUCTION_MECHANISMS) + ")")
     bp.add_argument("--consent-rates", default="1.0",
                     help="comma-separated consent rates in [0, 1]")
     bp.add_argument("--repetitions", type=int, default=1)

@@ -10,18 +10,17 @@ O(|E|) production path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .engine import CONSENT, EngineRun, school_side_run
-from .gs import (GSCounters, _as_assignment, _gs_core,
+from .gs import (Counters, _as_assignment, _gs_core,
                  gs_student_traced, interrupting_pairs)
-from .model import Assignment, Instance, InvalidInstanceError, dominates
-from .oracle import enumerate_assignments
+from .model import Assignment, Instance, InvalidInstanceError
 
 __all__ = [
     "ConsentSet", "EadamResult", "kesten_eadam", "simplified_eadam",
-    "rotate_remove_consent", "underdemanded_schools", "is_constrained_efficient",
+    "rotate_remove_consent", "underdemanded_schools",
 ]
 
 
@@ -33,17 +32,6 @@ class ConsentSet:
     @classmethod
     def of(cls, students: Iterable[str]) -> "ConsentSet":
         return cls(frozenset(students))
-
-    @classmethod
-    def everyone(cls, inst: Instance) -> "ConsentSet":
-        return cls(frozenset(inst.students))
-
-    @classmethod
-    def everyone_but(cls, inst: Instance, refusing: Iterable[str]) -> "ConsentSet":
-        return cls(frozenset(inst.students) - frozenset(refusing))
-
-    def consents(self, student: str) -> bool:
-        return student in self.consenting
 
     def validate(self, inst: Instance) -> None:
         stray = self.consenting - frozenset(inst.students)
@@ -63,8 +51,12 @@ def _consent_flags(inst: Instance, consent: ConsentSet | None) -> list[bool]:
 class EadamResult:
     assignment: Assignment
     removed_edges: tuple[tuple[str, str], ...]  # in removal order
-    gs_runs: int                                # deferred-acceptance invocations
-    gs: GSCounters
+    counters: Counters
+
+    @property
+    def gs_runs(self) -> int:
+        """Deferred-acceptance invocations."""
+        return self.counters.gs_runs
 
 
 def _fresh_alive(inst: Instance) -> list[bytearray]:
@@ -87,8 +79,9 @@ def kesten_eadam(inst: Instance, consent: ConsentSet | None = None) -> EadamResu
         pairs = interrupting_pairs(res.trace)  # latest step first
         step = next((k for a, _, k in pairs if flags[s_index[a]]), None)
         if step is None:
-            return EadamResult(res.assignment, tuple(removed), runs,
-                               GSCounters(proposals, 0))
+            return EadamResult(res.assignment, tuple(removed),
+                               Counters(proposals, edges_removed=len(removed),
+                                        gs_runs=runs))
         for a, b, k in pairs:
             if k == step and flags[s_index[a]]:
                 alive[s_index[a]][s_rank[s_index[a]][b_index[b]]] = 0
@@ -127,20 +120,18 @@ def simplified_eadam(inst: Instance, consent: ConsentSet | None = None) -> Eadam
     s_rank, b_rank = inst._s_rank, inst._b_rank
     alive = _fresh_alive(inst)
     removed: list[tuple[str, str]] = []
-    proposals = cells = runs = 0
+    total = Counters()
     while True:
         rows = [[row[j] for j in range(len(row)) if mask[j]]
                 for row, mask in zip(s_pref, alive)]
         ranks = [[row[j] for j in range(len(row)) if mask[j]]
                  for row, mask in zip(s_srank, alive)]
         state, counters, rejected = _gs_core(rows, ranks, b_pref, inst._quota)
-        runs += 1
-        proposals += counters.proposals
-        cells += counters.cells_scanned
+        total += counters
         if not any(rejected):
             return EadamResult(_as_assignment(inst, state.match_school),
-                               tuple(removed), runs,
-                               GSCounters(proposals, cells))
+                               tuple(removed),
+                               replace(total, edges_removed=len(removed)))
         for a in range(inst.n_students):
             b = state.match_school[a]
             if b >= 0 and rejected[b]:
@@ -173,33 +164,3 @@ def rotate_remove_consent(inst: Instance, consent: ConsentSet | None = None, *,
     return school_side_run(inst, mode=CONSENT,
                            consenting=_consent_flags(inst, consent), order=order)
 
-
-def _violated_priority(inst: Instance, m: Assignment, a: str) -> bool:
-    """a strictly prefers some school that admitted a student below him."""
-    mb = m.school_of(a)
-    top = inst.student_rank(a, mb) if mb is not None else len(inst._s_pref[inst._s_index[a]])
-    row = inst._s_pref[inst._s_index[a]]
-    for pos in range(top):
-        b = inst.schools[row[pos]]
-        r = inst.school_rank(b, a)
-        if any(inst.school_rank(b, a2) > r for a2 in m.students_of(b)):
-            return True
-    return False
-
-
-def is_constrained_efficient(inst: Instance, consent: ConsentSet | None,
-                             m: Assignment, cap: int = 10 ** 6) -> bool:
-    """True iff m respects every nonconsenting student's priority and every
-    assignment the students strictly prefer violates one.  Enumerates all
-    assignments, so this is a test oracle for small instances only."""
-    flags = _consent_flags(inst, consent)
-    refusing = [a for i, a in enumerate(inst.students) if not flags[i]]
-    if any(_violated_priority(inst, m, a) for a in refusing):
-        return False
-    for m2 in enumerate_assignments(inst, cap):
-        # strict preferences: m2 strictly dominates m iff it weakly does and differs
-        if m2 == m or not dominates(inst, m2, m):
-            continue
-        if not any(_violated_priority(inst, m2, a) for a in refusing):
-            return False
-    return True

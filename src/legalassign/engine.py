@@ -7,21 +7,24 @@ one path entry; closing a cycle eliminates the corresponding rotation and
 truncates the path.  Every preference cell is scanned at most once, plus one
 re-scan per eliminated rotation, so a full run costs O(|E|).
 
-Three behaviours share the machinery:
+The modes of the walks:
   - legal:     rotate-remove; sinks delete illegal edges (finds legal optima)
-  - consent:   legal plus the nonconsent cascade that seals a school's list
-               when the student losing out did not consent
-  - enumerate: no deletions; a sink permanently retires the whole path,
-               which walks the stable lattice and reports every rotation
+  - consent:   school side only; legal plus the nonconsent cascade that
+               seals a school's list when the student losing out did not
+               consent
+  - enumerate: student side only; no deletions; a sink permanently retires
+               the whole path, which walks the stable lattice down and
+               reports every student-rotation.  The school-rotations are
+               their sigma images (all_rotations)
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gs import GSCounters, _as_assignment, _gs_school_arrays, _gs_student_arrays
+from .gs import Counters, _as_assignment, _gs_school_arrays, _gs_student_arrays
 from .model import Assignment, Instance, SCHOOLS, STUDENTS, _check_side
-from .rotations import Rotation
+from .rotations import Rotation, sigma
 
 _EMPTY = -1  # shared empty sink; also the "no student" marker in path entries
 
@@ -31,25 +34,11 @@ ENUMERATE = "enumerate"
 
 
 @dataclass(frozen=True)
-class EngineCounters:
-    edge_scans: int
-    path_extensions: int
-    rotations_eliminated: int
-    edges_removed: int
-    gs: GSCounters
-
-    @property
-    def total_scans(self) -> int:
-        """Preference cells touched by the initial solve plus the walk."""
-        return self.edge_scans + self.gs.cells_scanned
-
-
-@dataclass(frozen=True)
 class EngineRun:
     assignment: Assignment
     rotations: tuple[Rotation, ...]          # in elimination order
     removed_edges: tuple[tuple[str, str], ...]  # (student, school)
-    counters: EngineCounters
+    counters: Counters                       # the initial solve plus the walk
 
 
 def _order_indices(ids: Sequence[str], index: dict[str, int],
@@ -79,8 +68,8 @@ def _school_worst(inst: Instance, match_school: list[int],
 
 
 def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[int],
-                     mode: str, consenting: Sequence[bool] | None,
-                     order: Sequence[str] | None, gs_counters: GSCounters) -> EngineRun:
+                     consenting: Sequence[bool] | None,
+                     order: Sequence[str] | None, gs_counters: Counters) -> EngineRun:
     b_pref, b_rrank = inst._b_pref, inst._b_rrank
     n_b = inst.n_schools
     deg = [len(row) for row in b_pref]
@@ -111,16 +100,6 @@ def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[in
             on_path[head] = 1
         tail = path_b[-1]
         if tail == _EMPTY or p[tail] >= deg[tail]:
-            if mode == ENUMERATE:
-                # the whole path is permanently stuck (its successor chain
-                # dead-ends here forever), so retire every school on it
-                for b in path_b:
-                    if b >= 0:
-                        p[b] = deg[b]
-                        on_path[b] = 0
-                path_a.clear()
-                path_b.clear()
-                continue
             a_in = path_a.pop()
             path_b.pop()
             if tail >= 0:
@@ -183,13 +162,15 @@ def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[in
         tuple(Rotation(SCHOOLS, tuple([(schools[b], students[a]) for b, a in rot]))
               for rot in rotations),
         tuple([(students[a], schools[b]) for a, b in removed]),
-        EngineCounters(scans, extensions, len(rotations), len(removed), gs_counters),
+        gs_counters + Counters(edge_scans=scans, path_extensions=extensions,
+                               rotations_eliminated=len(rotations),
+                               edges_removed=len(removed)),
     )
 
 
 def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[int],
                       mode: str, order: Sequence[str] | None,
-                      gs_counters: GSCounters) -> EngineRun:
+                      gs_counters: Counters) -> EngineRun:
     s_pref, s_srank = inst._s_pref, inst._s_srank
     b_pref = inst._b_pref
     n_a, n_b = inst.n_students, inst.n_schools
@@ -227,6 +208,8 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
         tail = path_a[-1]
         if tail == _EMPTY or p[tail] >= deg[tail]:
             if mode == ENUMERATE:
+                # the whole path is permanently stuck (its successor chain
+                # dead-ends here forever), so retire every student on it
                 for a in path_a:
                     if a >= 0:
                         p[a] = deg[a]
@@ -297,29 +280,27 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
         tuple(Rotation(STUDENTS, tuple([(students[a], schools[b]) for a, b in rot]))
               for rot in rotations),
         tuple([(students[a], schools[b]) for a, b in removed]),
-        EngineCounters(scans, extensions, len(rotations), len(removed), gs_counters),
+        gs_counters + Counters(edge_scans=scans, path_extensions=extensions,
+                               rotations_eliminated=len(rotations),
+                               edges_removed=len(removed)),
     )
 
 
 def school_side_run(inst: Instance, *, mode: str = LEGAL,
                     consenting: Sequence[bool] | None = None,
                     order: Sequence[str] | None = None) -> EngineRun:
-    """Walk school-rotations upward from a stable assignment.
+    """Walk school-rotations upward from the student-optimal stable assignment.
 
-    legal/consent start at the student-optimal stable assignment and climb to
-    the student-optimal legal (resp. EADAM) assignment; enumerate starts at
-    the school-optimal one and reports every school-rotation on the way up.
+    legal climbs to the student-optimal legal assignment, consent to the
+    EADAM assignment for the given per-student consent flags.
     """
-    if mode not in (LEGAL, CONSENT, ENUMERATE):
+    if mode not in (LEGAL, CONSENT):
         raise ValueError(f"unknown mode {mode!r}")
     if (consenting is not None) != (mode == CONSENT):
         raise ValueError("consenting is required exactly in consent mode")
-    if mode == ENUMERATE:
-        state, gs_counters = _gs_school_arrays(inst)
-    else:
-        state, gs_counters, _ = _gs_student_arrays(inst)
+    state, gs_counters, _ = _gs_student_arrays(inst)
     return _run_school_side(inst, state.match_school, state.match_pos,
-                            mode, consenting, order, gs_counters)
+                            consenting, order, gs_counters)
 
 
 def student_side_run(inst: Instance, *, mode: str = LEGAL,
@@ -342,8 +323,14 @@ def student_side_run(inst: Instance, *, mode: str = LEGAL,
 
 def all_rotations(inst: Instance, side: str) -> list[Rotation]:
     """Every rotation of the given side exposed in any stable assignment,
-    in one elimination order (the set does not depend on the order)."""
+    in one elimination order (the set does not depend on the order).
+
+    sigma maps the student-rotations one to one onto the school-rotations,
+    and undoes each one, so the school side is the student side's chain
+    mapped through sigma and read backwards, from the school-optimal end.
+    """
     _check_side(side)
-    if side == SCHOOLS:
-        return list(school_side_run(inst, mode=ENUMERATE).rotations)
-    return list(student_side_run(inst, mode=ENUMERATE).rotations)
+    rotations = student_side_run(inst, mode=ENUMERATE).rotations
+    if side == STUDENTS:
+        return list(rotations)
+    return [sigma(rho) for rho in reversed(rotations)]

@@ -8,7 +8,8 @@ what interrupter detection consumes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
 from .model import Assignment, Instance
@@ -21,18 +22,35 @@ _UNRANKED = 1 << 60  # worse than any real rank
 
 
 @dataclass(frozen=True)
-class GSCounters:
-    proposals: int
-    cells_scanned: int
+class Counters:
+    """Operation counts of one run, or the sum of several runs (``+``).
+
+    Deferred acceptance counts its proposals and the preference cells it
+    touches; a rotation walk counts its own cell scans (``edge_scans``),
+    path extensions, eliminated rotations and removed edges.  Each
+    deferred-acceptance run counts one in ``gs_runs``.
+    """
+    proposals: int = 0
+    cells_scanned: int = 0
+    edge_scans: int = 0
+    path_extensions: int = 0
+    rotations_eliminated: int = 0
+    edges_removed: int = 0
+    gs_runs: int = 0
+
+    @property
+    def total_scans(self) -> int:
+        """Preference cells touched by deferred acceptance plus the walk."""
+        return self.edge_scans + self.cells_scanned
+
+    def __add__(self, other: Counters) -> Counters:
+        return Counters(*map(add, vars(self).values(), vars(other).values()))
 
 
 @dataclass(frozen=True)
 class GSResult:
     assignment: Assignment
-    counters: GSCounters
-    #: schools that rejected or displaced at least one student during the run;
-    #: equivalently, the schools some student ends up strictly preferring.
-    rejecting_schools: frozenset[str]
+    counters: Counters
 
 
 class _MatchState(NamedTuple):
@@ -50,7 +68,7 @@ def _as_assignment(inst: Instance, match_school: Sequence[int]) -> Assignment:
 
 def _gs_core(s_pref: list[list[int]], s_srank: list[list[int]],
              b_pref: list[list[int]], quota: Sequence[int],
-             ) -> tuple[_MatchState, GSCounters, bytearray]:
+             ) -> tuple[_MatchState, Counters, bytearray]:
     """Student-proposing run on raw index rows.
 
     Returns the match state, counters, and a per-school rejection flag.
@@ -118,21 +136,20 @@ def _gs_core(s_pref: list[list[int]], s_srank: list[list[int]],
             ptr[a] = pos  # exhausted: stays unmatched
 
     return (_MatchState(match_school, match_pos, fill),
-            GSCounters(proposals, cells), rejected_flag)
+            Counters(proposals, cells, gs_runs=1), rejected_flag)
 
 
-def _gs_student_arrays(inst: Instance) -> tuple[_MatchState, GSCounters, bytearray]:
+def _gs_student_arrays(inst: Instance) -> tuple[_MatchState, Counters, bytearray]:
     return _gs_core(inst._s_pref, inst._s_srank, inst._b_pref, inst._quota)
 
 
 def gs_student(inst: Instance) -> GSResult:
     """Student-proposing deferred acceptance; student-optimal stable assignment."""
-    state, counters, rej = _gs_student_arrays(inst)
-    return GSResult(_as_assignment(inst, state.match_school), counters,
-                    frozenset(b for b, f in zip(inst.schools, rej) if f))
+    state, counters, _ = _gs_student_arrays(inst)
+    return GSResult(_as_assignment(inst, state.match_school), counters)
 
 
-def _gs_school_arrays(inst: Instance) -> tuple[_MatchState, GSCounters]:
+def _gs_school_arrays(inst: Instance) -> tuple[_MatchState, Counters]:
     """School-proposing run on index arrays (school-optimal stable assignment)."""
     b_pref, b_rrank = inst._b_pref, inst._b_rrank
     s_pref = inst._s_pref
@@ -170,12 +187,12 @@ def _gs_school_arrays(inst: Instance) -> tuple[_MatchState, GSCounters]:
     match_pos = [cur_rank[a] if cur_rank[a] != _UNRANKED else len(s_pref[a])
                  for a in range(n_a)]
     return (_MatchState(match_school, match_pos, fill),
-            GSCounters(proposals, proposals))
+            Counters(proposals, proposals, gs_runs=1))
 
 
 def gs_school(inst: Instance) -> GSResult:
     state, counters = _gs_school_arrays(inst)
-    return GSResult(_as_assignment(inst, state.match_school), counters, frozenset())
+    return GSResult(_as_assignment(inst, state.match_school), counters)
 
 
 # -- traced variant ----------------------------------------------------------

@@ -269,9 +269,6 @@ class Instance:
         except KeyError:
             raise ValueError(f"unknown school {b!r}") from None
 
-    def has_edge(self, a: str, b: str) -> bool:
-        return self._b_index[b] in self._s_rank[self._student_idx(a)] if b in self._b_index else False
-
     def edges(self) -> Iterator[tuple[str, str]]:
         for a, row in zip(self._students, self._s_pref):
             for j in row:
@@ -293,9 +290,6 @@ class Instance:
 
     def student_degree(self, a: str) -> int:
         return len(self._s_pref[self._student_idx(a)])
-
-    def school_degree(self, b: str) -> int:
-        return len(self._b_pref[self._school_idx(b)])
 
     def validate(self) -> None:
         """Re-check structural invariants (useful for generated instances)."""

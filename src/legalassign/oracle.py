@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .model import Assignment, Instance
+from .eadam import ConsentSet, _consent_flags
+from .model import Assignment, Instance, dominates
 
 DEFAULT_CAP = 10**6
 
@@ -221,8 +222,6 @@ def blocking_digraph(inst: Instance, cap: int = DEFAULT_CAP) -> dict[Assignment,
 def optimal_in(inst: Instance, group: Sequence[Assignment], side: str) -> Assignment:
     """The member every student weakly prefers (side='students') or the
     reverse extreme (side='schools', i.e. worst for students)."""
-    from .model import dominates  # local to keep module import light
-
     if not group:
         raise ValueError("empty assignment set")
     for m in group:
@@ -231,3 +230,34 @@ def optimal_in(inst: Instance, group: Sequence[Assignment], side: str) -> Assign
         if side == "schools" and all(dominates(inst, m2, m) for m2 in group):
             return m
     raise ValueError("set has no dominant element; not a lattice slice?")
+
+
+def _violated_priority(inst: Instance, m: Assignment, a: str) -> bool:
+    """a strictly prefers some school that admitted a student below him."""
+    mb = m.school_of(a)
+    top = inst.student_rank(a, mb) if mb is not None else len(inst._s_pref[inst._s_index[a]])
+    row = inst._s_pref[inst._s_index[a]]
+    for pos in range(top):
+        b = inst.schools[row[pos]]
+        r = inst.school_rank(b, a)
+        if any(inst.school_rank(b, a2) > r for a2 in m.students_of(b)):
+            return True
+    return False
+
+
+def is_constrained_efficient(inst: Instance, consent: ConsentSet | None,
+                             m: Assignment, cap: int = DEFAULT_CAP) -> bool:
+    """True iff m respects every nonconsenting student's priority and every
+    assignment the students strictly prefer violates one.  Enumerates all
+    assignments, so this is a test oracle for small instances only."""
+    flags = _consent_flags(inst, consent)
+    refusing = [a for i, a in enumerate(inst.students) if not flags[i]]
+    if any(_violated_priority(inst, m, a) for a in refusing):
+        return False
+    for m2 in enumerate_assignments(inst, cap):
+        # strict preferences: m2 strictly dominates m iff it weakly does and differs
+        if m2 == m or not dominates(inst, m2, m):
+            continue
+        if not any(_violated_priority(inst, m2, a) for a in refusing):
+            return False
+    return True

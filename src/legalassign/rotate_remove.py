@@ -9,21 +9,18 @@ whose stable assignments are exactly the legal assignments.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import not_
 
-from .engine import (CONSENT, ENUMERATE, LEGAL, EngineCounters, EngineRun,
-                     all_rotations, school_side_run, student_side_run)
-from .gs import GSCounters, gs_school, gs_student
+from .engine import (ENUMERATE, LEGAL, EngineRun, all_rotations,
+                     school_side_run, student_side_run)
+from .gs import Counters, gs_school
 from .model import Assignment, Instance, SCHOOLS, STUDENTS, _check_side
-from .rotations import (Rotation, _cycle_to_rotation, build_rotation_digraph,
-                        eliminate, sigma_inverse)
+from .rotations import Rotation, sigma_inverse
 
 __all__ = [
-    "rotate_remove", "rotate_remove_naive", "NaiveRun",
-    "student_optimal_legal", "school_optimal_legal",
+    "rotate_remove", "student_optimal_legal", "school_optimal_legal",
     "stable_edges", "legal_subinstance", "LegalSubinstanceReport",
 ]
 
@@ -48,63 +45,6 @@ def school_optimal_legal(inst: Instance) -> Assignment:
     return student_side_run(inst).assignment
 
 
-@dataclass(frozen=True)
-class NaiveRun:
-    assignment: Assignment
-    rotations: tuple[Rotation, ...]
-    removed_edges: tuple[tuple[str, str], ...]
-
-
-def rotate_remove_naive(inst: Instance, side: str = SCHOOLS, *,
-                        rng: random.Random | None = None,
-                        consenting: dict[str, bool] | None = None) -> NaiveRun:
-    """Digraph-rebuild reference: at each step pick, uniformly at random, one
-    applicable action (delete the edge under a sink, or eliminate a cycle).
-    Exercises the choice freedom the fast walk never uses."""
-    _check_side(side)
-    if consenting is not None and side != SCHOOLS:
-        raise ValueError("consent applies to school-side elimination only")
-    rng = rng if rng is not None else random.Random()
-    sp = {a: list(row) for a, row in inst.student_prefs.items()}
-    bp = {b: list(row) for b, row in inst.school_prefs.items()}
-    cur = Instance(inst.students, inst.schools, inst.quota, sp, bp)
-    m = (gs_student(cur) if side == SCHOOLS else gs_school(cur)).assignment
-    x_ids = set(inst.schools if side == SCHOOLS else inst.students)
-    removed: list[tuple[str, str]] = []
-    rotations: list[Rotation] = []
-    while True:
-        dg = build_rotation_digraph(cur, m, side)
-        if not dg.arcs:
-            break
-        actions: list[tuple] = [("cycle", c) for c in dg.cycles()]
-        for x, y in dg.arcs.items():
-            if x not in x_ids or y is None:
-                continue
-            nxt = dg.arcs.get(y)  # next agent past the successor y
-            if nxt is None or nxt not in dg.arcs:
-                actions.append(("remove", x, y))
-        if not actions:
-            raise AssertionError("digraph has arcs but no applicable action")
-        act = actions[rng.randrange(len(actions))]
-        if act[0] == "cycle":
-            rho = _cycle_to_rotation(cur, side, act[1])
-            m = eliminate(cur, m, rho)
-            rotations.append(rho)
-            continue
-        _, x, y = act
-        a, b = (y, x) if side == SCHOOLS else (x, y)
-        doomed = [(a, b)]
-        if consenting is not None and not consenting.get(a, True):
-            below = bp[b][bp[b].index(a) + 1:]
-            doomed += [(a2, b) for a2 in below]
-        for a2, b2 in doomed:
-            sp[a2].remove(b2)
-            bp[b2].remove(a2)
-            removed.append((a2, b2))
-        cur = Instance(inst.students, inst.schools, inst.quota, sp, bp)
-    return NaiveRun(m, tuple(rotations), tuple(removed))
-
-
 def stable_edges(inst: Instance) -> frozenset[tuple[str, str]]:
     """Edges on some stable assignment: the school-optimal one plus every
     (x_i, y_i) pair of a student-rotation."""
@@ -112,17 +52,6 @@ def stable_edges(inst: Instance) -> frozenset[tuple[str, str]]:
     for rho in all_rotations(inst, STUDENTS):
         out.update(rho.pairs)
     return frozenset(out)
-
-
-def _sum_counters(runs: list[EngineRun]) -> EngineCounters:
-    return EngineCounters(
-        sum(r.counters.edge_scans for r in runs),
-        sum(r.counters.path_extensions for r in runs),
-        sum(r.counters.rotations_eliminated for r in runs),
-        sum(r.counters.edges_removed for r in runs),
-        GSCounters(sum(r.counters.gs.proposals for r in runs),
-                   sum(r.counters.gs.cells_scanned for r in runs)),
-    )
 
 
 @dataclass(frozen=True)
@@ -134,7 +63,7 @@ class LegalSubinstanceReport:
     school_optimal: Assignment
     rotations: tuple[Rotation, ...]        # student-rotations of the subinstance,
                                            # ordered from student- to school-optimal
-    counters: EngineCounters
+    counters: Counters                     # of the two walks and the enumeration
 
 
 def legal_subinstance(inst: Instance) -> LegalSubinstanceReport:
@@ -175,7 +104,7 @@ def legal_subinstance(inst: Instance) -> LegalSubinstanceReport:
         s_keep.append(keep)
     return LegalSubinstanceReport(_restrict(inst, s_keep), legal, frozenset(illegal),
                                   up.assignment, down.assignment, rotations,
-                                  _sum_counters([up, down, mid]))
+                                  up.counters + down.counters + mid.counters)
 
 
 def _restrict(inst: Instance, s_keep: list[bytes]) -> Instance:

@@ -11,7 +11,6 @@ stable assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .model import (
     Assignment, Instance, SCHOOLS, STUDENTS, UnstableAssignmentError, _check_side,
@@ -41,15 +40,6 @@ class Rotation:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    @property
-    def interleaved(self) -> tuple[str, ...]:
-        """Cycle as the alternating sequence y0, x0, y1, x1, ..."""
-        out: list[str] = []
-        for x, y in self.pairs:
-            out.append(y)
-            out.append(x)
-        return tuple(out)
 
     def dump(self) -> str:
         return f"{self.side}: " + " ".join(f"({x} {y})" for x, y in self.pairs)
@@ -215,23 +205,3 @@ def sigma_inverse(tau: Rotation) -> Rotation:
     pairs = tau.pairs
     return Rotation(STUDENTS, tuple((pairs[i][1], pairs[i - 1][0]) for i in range(len(pairs))))
 
-
-def all_rotations(inst: Instance, side: str) -> list[Rotation]:
-    """Every X-rotation met on the way from the X-optimal to the Y-optimal
-    stable assignment; the set is independent of elimination order.
-    """
-    from .engine import all_rotations as _fast
-    return _fast(inst, side)
-
-
-def all_rotations_naive(inst: Instance, side: str) -> list[Rotation]:
-    """Digraph-rebuilding reference for tests; same set as all_rotations."""
-    from .gs import gs_school, gs_student
-    m = (gs_student(inst) if side == STUDENTS else gs_school(inst)).assignment
-    out: list[Rotation] = []
-    while True:
-        rot = exposed_rotations(inst, m, side)
-        if not rot:
-            return out
-        out.append(rot[0])
-        m = eliminate(inst, m, rot[0])

@@ -25,9 +25,9 @@ from legalassign import (Assignment, ConsentSet, GenConfig, PlanCell,
                          rotate_remove_consent, run_bench, school_side_run,
                          sigma, simplified_eadam, student_side_run)
 from legalassign.benchgen import _run_one
-from legalassign.rotate_remove import rotate_remove_naive
 
 from _markets import random_consent, random_market
+from _references import rotate_remove_naive
 
 
 def _load(name):

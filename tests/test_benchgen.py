@@ -12,6 +12,12 @@ from legalassign.benchgen import (CSV_COLUMNS, MECHANISMS, NYC,
 import legalassign.benchgen as benchgen
 
 
+def test_default_cell_names_no_reference_form():
+    cell = PlanCell(GenConfig(10, 2))
+    assert not {"eadam", "eadam-simplified"} & set(cell.mechanisms)
+    assert set(cell.mechanisms) == set(MECHANISMS) - {"eadam", "eadam-simplified"}
+
+
 def test_generation_is_deterministic():
     cfg = GenConfig(40, 4, seed=7)
     assert generate(cfg).to_text() == generate(cfg).to_text()

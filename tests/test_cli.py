@@ -97,6 +97,39 @@ def test_solve_counters_block(capsys):
         "edges_removed", "gs_reruns"]
 
 
+#: proposals, edge_scans, rotations_eliminated, edges_removed, gs_reruns on ex5,
+#: with ex5-consent.txt for the three EADAM forms
+EX5_COUNTERS = {
+    "gs": (10, 10, 0, 0, 0),
+    "eadam": (19, 0, 0, 1, 1),
+    "eadam-simplified": (21, 21, 0, 6, 2),
+    "eadam-fast": (10, 19, 1, 6, 0),
+    "legal-student-opt": (10, 22, 1, 3, 0),
+    "legal-school-opt": (4, 10, 0, 0, 0),
+    "legal-subgraph": (24, 48, 1, 3, 2),
+}
+
+
+@pytest.mark.parametrize("mechanism", sorted(EX5_COUNTERS))
+def test_solve_counters_per_mechanism(capsys, mechanism):
+    consent = (["--consent", fx("ex5-consent.txt")]
+               if mechanism.startswith("eadam") else [])
+    code, _, err = run(capsys, "solve", "--mechanism", mechanism,
+                       "--input", fx("ex5.inst"), "--counters", *consent)
+    assert code == 0
+    keys = ("proposals", "edge_scans", "rotations_eliminated",
+            "edges_removed", "gs_reruns")
+    assert err == "".join(f"{k}={v}\n" for k, v in zip(keys, EX5_COUNTERS[mechanism]))
+
+
+def test_bench_default_runs_production_mechanisms(capsys):
+    code, out, _ = run(capsys, "bench", "--students", "20", "--schools", "2")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[5] for r in rows] == ["gs", "eadam-fast", "legal-student-opt",
+                                    "legal-school-opt", "legal-subgraph"]
+
+
 def test_consent_flag_needs_eadam(capsys):
     code, _, err = run(capsys, "solve", "--mechanism", "gs",
                        "--input", fx("ex5.inst"),

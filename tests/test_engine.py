@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from legalassign import (Assignment, all_rotations, school_side_run, sigma,
                          student_side_run)
-from legalassign.rotate_remove import rotate_remove_naive
-from legalassign.rotations import all_rotations_naive
-
 from _markets import random_consent, random_market
+from _references import all_rotations_naive, rotate_remove_naive
 
 LEGAL_EX4 = Assignment({"a1": "b1", "a2": "b2", "a3": "b3", "a4": "b4", "a5": "b5"})
 STABLE_EX4 = Assignment({"a1": "b4", "a2": "b3", "a3": "b2", "a4": "b1", "a5": "b5"})

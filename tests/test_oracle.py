@@ -1,9 +1,12 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import legalassign
 from legalassign import (Assignment, OracleCapError, auxiliary_instance,
                          blocking_digraph, blocks, enumerate_assignments,
                          enumerate_stable, gs_school, gs_student, is_stable,
@@ -129,3 +132,23 @@ def test_stability_matches_model_predicate(seed):
     stable = set(enumerate_stable(inst))
     for m in enumerate_assignments(inst):
         assert (m in stable) == is_stable(inst, m)
+
+
+def _imports_oracle(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        module = "." * node.level + (node.module or "")
+        if module in (".oracle", "legalassign.oracle"):
+            return True
+        return (module in (".", "legalassign")
+                and any(alias.name == "oracle" for alias in node.names))
+    if isinstance(node, ast.Import):
+        return any(alias.name == "legalassign.oracle" for alias in node.names)
+    return False
+
+
+@pytest.mark.parametrize("module", ["model", "gs", "engine", "rotations",
+                                    "rotate_remove", "eadam"])
+def test_solver_modules_do_not_import_the_oracle(module):
+    path = Path(legalassign.__file__).with_name(f"{module}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if _imports_oracle(node)]
