@@ -110,7 +110,7 @@ CSV_COLUMNS = (
     "seed",
     "repetition",
     "wall_time_ms",
-) + Counts._fields
+) + Counts._fields + ("rng_name", "rng_version")
 
 
 class BenchError(RuntimeError):
@@ -299,6 +299,8 @@ class BenchRecord:
             str(self.repetition),
             f"{self.wall_time_ms:.3f}",
             *(str(getattr(self, f)) for f in Counts._fields),
+            self.rng_name,
+            self.rng_version,
         ]
 
 

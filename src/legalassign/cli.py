@@ -18,10 +18,11 @@ sorted so golden-file tests are byte-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .benchgen import (CONSENT_MECHANISMS, MECHANISMS, PRODUCTION_MECHANISMS,
                        QUOTA_MODELS, UNIFORM, BenchError, Counts, GenConfig,
@@ -53,21 +54,9 @@ def _assignment_json(inst: Instance, m) -> dict:
     return {a: m.school_of(a) for a in inst.students}
 
 
-def _sorted_edges(inst: Instance, edges) -> Iterator[tuple[str, str]]:
-    """The instance edges that are in ``edges``, by student then school index.
-
-    A pass over the schools' rows in index order drops each school into the
-    bucket of every student it lists, so every bucket comes out sorted.
-    The edges are yielded one student at a time, so the caller's output is
-    the only full-size list.
-    """
-    students, schools = inst.students, inst.schools
-    buckets: list[list[int]] = [[] for _ in students]
-    for j, row in enumerate(inst._b_pref):
-        for i in row:
-            buckets[i].append(j)
-    for a, row in zip(students, buckets):
-        yield from filter(edges.__contains__, [(a, schools[j]) for j in row])
+def _edge_lines(a: str, schools: list[str]) -> str:
+    """One ``a b`` line per school, built with a single join."""
+    return f"{a} " + f"\n{a} ".join(schools) + "\n" if schools else ""
 
 
 def _print_counters(counts: Counts) -> None:
@@ -99,21 +88,26 @@ def _cmd_solve(args) -> int:
     if args.mechanism == "legal-subgraph":
         rep = legal_subinstance(inst)
         counts = Counts.of(rep.counters)
-        legal = _sorted_edges(inst, rep.legal_edges)
-        illegal = _sorted_edges(inst, rep.illegal_edges)
         if args.format == "json":
+            legal: list[list[str]] = []
+            illegal: list[list[str]] = []
+            for a, good, bad in rep.edges_by_student():
+                legal += [[a, b] for b in good]
+                illegal += [[a, b] for b in bad]
             text = json.dumps({
                 "mechanism": args.mechanism,
-                "legal_edges": [list(e) for e in legal],
-                "illegal_edges": [list(e) for e in illegal],
+                "legal_edges": legal,
+                "illegal_edges": illegal,
                 "student_optimal": _assignment_json(inst, rep.student_optimal),
                 "school_optimal": _assignment_json(inst, rep.school_optimal),
             }, indent=2) + "\n"
         else:
             parts = ["legal edges:\n"]
-            parts += [f"{a} {b}\n" for a, b in legal]
-            parts.append("\nillegal edges:\n")
-            parts += [f"{a} {b}\n" for a, b in illegal]
+            tail = ["\nillegal edges:\n"]
+            for a, good, bad in rep.edges_by_student():
+                parts.append(_edge_lines(a, good))
+                tail.append(_edge_lines(a, bad))
+            parts += tail
             parts.append("\nstudent-optimal:\n")
             parts.append(rep.student_optimal.format(inst))
             parts.append("\nschool-optimal:\n")
@@ -248,7 +242,9 @@ def _add_market_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quota-hi", type=int, default=150)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="legalassign",
         description="Stable, legal, and consent-constrained school assignment.")

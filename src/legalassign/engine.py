@@ -20,6 +20,7 @@ The modes of the walks:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .gs import Counters, _as_assignment, _gs_school_arrays, _gs_student_arrays
@@ -35,10 +36,41 @@ ENUMERATE = "enumerate"
 
 @dataclass(frozen=True)
 class EngineRun:
+    """One walk's result.
+
+    The walk records its rotations and removed edges as index pairs;
+    ``rotations`` and ``removed_edges`` name them on first access.
+    """
     assignment: Assignment
-    rotations: tuple[Rotation, ...]          # in elimination order
-    removed_edges: tuple[tuple[str, str], ...]  # (student, school)
     counters: Counters                       # the initial solve plus the walk
+    _inst: Instance
+    _side: str                               # the side whose rotations were walked
+    _match: list[int]                        # per student: school index or -1
+    _match_pos: list[int]                    # its position on the student's list
+    _rotations: list[list[tuple[int, int]]]  # (x, y) index pairs, x on _side
+    _removed_a: list[int]                    # removed edges in removal order:
+    _removed_b: list[int]                    # student and school indices
+
+    @cached_property
+    def rotations(self) -> tuple[Rotation, ...]:
+        """In elimination order."""
+        return _named_rotations(self._inst, self._side, self._rotations)
+
+    @cached_property
+    def removed_edges(self) -> tuple[tuple[str, str], ...]:
+        """(student, school) pairs in removal order."""
+        inst = self._inst
+        return tuple(zip(map(inst.students.__getitem__, self._removed_a),
+                         map(inst.schools.__getitem__, self._removed_b)))
+
+
+def _named_rotations(inst: Instance, side: str,
+                     rotations: list[list[tuple[int, int]]]) -> tuple[Rotation, ...]:
+    """Rotations of the given side from their (x, y) index pairs."""
+    xs, ys = ((inst.schools, inst.students) if side == SCHOOLS
+              else (inst.students, inst.schools))
+    return tuple(Rotation(side, tuple([(xs[x], ys[y]) for x, y in rot]))
+                 for rot in rotations)
 
 
 def _order_indices(ids: Sequence[str], index: dict[str, int],
@@ -84,7 +116,8 @@ def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[in
     path_a: list[int] = []   # student arriving at each entry; _EMPTY at the head
     path_b: list[int] = []   # school of each entry; _EMPTY is the shared sink
     on_path = [0] * n_b      # school -> path index + 1
-    removed: list[tuple[int, int]] = []
+    removed_a: list[int] = []
+    removed_b: list[int] = []
     rotations: list[list[tuple[int, int]]] = []
     scans = extensions = 0
 
@@ -107,11 +140,13 @@ def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[in
                 p[tail] = deg[tail]
             if a_in >= 0:
                 b_prev = path_b[-1]
-                removed.append((a_in, b_prev))
+                removed_a.append(a_in)
+                removed_b.append(b_prev)
                 if consenting is not None and not consenting[a_in]:
                     # seal b_prev below the lost student; it becomes a sink
-                    for k in range(p[b_prev] + 1, deg[b_prev]):
-                        removed.append((b_pref[b_prev][k], b_prev))
+                    sealed = b_pref[b_prev][p[b_prev] + 1:]
+                    removed_a += sealed
+                    removed_b += [b_prev] * len(sealed)
                     p[b_prev] = deg[b_prev]
             continue
         # find the successor of tail: next student below p preferring tail
@@ -156,15 +191,12 @@ def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[in
             on_path[nxt] = len(path_b)
         extensions += 1
 
-    students, schools = inst.students, inst.schools
     return EngineRun(
         _as_assignment(inst, match_school),
-        tuple(Rotation(SCHOOLS, tuple([(schools[b], students[a]) for b, a in rot]))
-              for rot in rotations),
-        tuple([(students[a], schools[b]) for a, b in removed]),
         gs_counters + Counters(edge_scans=scans, path_extensions=extensions,
                                rotations_eliminated=len(rotations),
-                               edges_removed=len(removed)),
+                               edges_removed=len(removed_a)),
+        inst, SCHOOLS, match_school, match_pos, rotations, removed_a, removed_b,
     )
 
 
@@ -191,7 +223,8 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
     path_b: list[int] = []   # school arriving at each entry; _EMPTY at the head
     path_a: list[int] = []   # student of each entry; _EMPTY is the shared sink
     on_path = [0] * n_a
-    removed: list[tuple[int, int]] = []
+    removed_a: list[int] = []
+    removed_b: list[int] = []
     rotations: list[list[tuple[int, int]]] = []
     scans = extensions = 0
 
@@ -223,7 +256,8 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
                 on_path[tail] = 0
                 p[tail] = deg[tail]
             if b_in >= 0:
-                removed.append((path_a[-1], b_in))
+                removed_a.append(path_a[-1])
+                removed_b.append(b_in)
             continue
         row_b = s_pref[tail]
         row_r = s_srank[tail]
@@ -274,15 +308,12 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
             on_path[nxt] = len(path_a)
         extensions += 1
 
-    students, schools = inst.students, inst.schools
     return EngineRun(
         _as_assignment(inst, match_school),
-        tuple(Rotation(STUDENTS, tuple([(students[a], schools[b]) for a, b in rot]))
-              for rot in rotations),
-        tuple([(students[a], schools[b]) for a, b in removed]),
         gs_counters + Counters(edge_scans=scans, path_extensions=extensions,
                                rotations_eliminated=len(rotations),
-                               edges_removed=len(removed)),
+                               edges_removed=len(removed_a)),
+        inst, STUDENTS, match_school, match_pos, rotations, removed_a, removed_b,
     )
 
 

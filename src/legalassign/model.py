@@ -421,10 +421,34 @@ def is_blocking_pair(inst: Instance, m: Assignment, a: str, b: str) -> bool:
 
 
 def blocking_pairs(inst: Instance, m: Assignment) -> Iterator[tuple[str, str]]:
-    """All edges that block m, in instance edge order."""
-    for a, b in inst.edges():
-        if is_blocking_pair(inst, m, a, b):
-            yield (a, b)
+    """All edges that block m, in instance edge order.
+
+    Index-level, in O(|E|) whatever the quotas: one pass finds each
+    student's school on its own list and each school's fill and worst
+    member; an edge above a student's school then blocks when the school
+    has a free seat or ranks the student above its worst member.
+    """
+    rows = list(zip(inst._students, inst._s_pref, inst._s_srank))
+    fill = [0] * inst.n_schools
+    worst = [-1] * inst.n_schools  # the worst member's position on the school's list
+    cuts = []  # per student: its school's position on its own list, else its degree
+    for a, row, cranks in rows:
+        cur = m.school_of(a) if row else None
+        cut = len(row)
+        if cur is not None:
+            j = inst._school_idx(cur)
+            try:
+                cut = row.index(j)
+            except ValueError:
+                raise ValueError(f"({a!r}, {cur!r}) is not an edge") from None
+            fill[j] += 1
+            worst[j] = max(worst[j], cranks[cut])
+        cuts.append(cut)
+    quota, schools = inst._quota, inst._schools
+    for (a, row, cranks), cut in zip(rows, cuts):
+        for j, c in zip(row[:cut], cranks[:cut]):
+            if fill[j] < quota[j] or c < worst[j]:
+                yield (a, schools[j])
 
 
 def is_stable(inst: Instance, m: Assignment) -> bool:

@@ -10,14 +10,16 @@ whose stable assignments are exactly the legal assignments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, compress
 from operator import not_
+from typing import Iterator
 
-from .engine import (ENUMERATE, LEGAL, EngineRun, all_rotations,
+from .engine import (ENUMERATE, LEGAL, EngineRun, _named_rotations, all_rotations,
                      school_side_run, student_side_run)
 from .gs import Counters, gs_school
 from .model import Assignment, Instance, SCHOOLS, STUDENTS, _check_side
-from .rotations import Rotation, sigma_inverse
+from .rotations import Rotation
 
 __all__ = [
     "rotate_remove", "student_optimal_legal", "school_optimal_legal",
@@ -56,14 +58,62 @@ def stable_edges(inst: Instance) -> frozenset[tuple[str, str]]:
 
 @dataclass(frozen=True)
 class LegalSubinstanceReport:
-    instance: Instance                     # original preferences minus illegal edges
-    legal_edges: frozenset[tuple[str, str]]
-    illegal_edges: frozenset[tuple[str, str]]
+    """The legal subinstance and the walks that found it.
+
+    The legal edges are held as one keep mask per school over the original
+    instance's preference cells.  ``instance``, ``legal_edges``,
+    ``illegal_edges`` and ``rotations`` are built from the index-level
+    result on first access.
+    """
     student_optimal: Assignment
     school_optimal: Assignment
-    rotations: tuple[Rotation, ...]        # student-rotations of the subinstance,
-                                           # ordered from student- to school-optimal
     counters: Counters                     # of the two walks and the enumeration
+    _inst: Instance
+    _keep: list[bytearray]                 # per school: 1 where the cell is legal
+    _rotations: list[list[tuple[int, int]]]  # (student, school) index pairs
+
+    @cached_property
+    def instance(self) -> Instance:
+        """The original preferences minus the illegal edges."""
+        return _restrict(self._inst, self._keep)
+
+    @cached_property
+    def legal_edges(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self._named_cells(self._keep))
+
+    @cached_property
+    def illegal_edges(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self._named_cells(bytes(map(not_, keep)) for keep in self._keep))
+
+    @cached_property
+    def rotations(self) -> tuple[Rotation, ...]:
+        """Student-rotations of the subinstance, ordered from the student-
+        optimal to the school-optimal legal assignment."""
+        return _named_rotations(self._inst, STUDENTS, self._rotations)
+
+    def _named_cells(self, masks) -> Iterator[tuple[str, str]]:
+        students = self._inst.students
+        for b, row, keep in zip(self._inst.schools, self._inst._b_pref, masks):
+            for a in compress(row, keep):
+                yield (students[a], b)
+
+    def edges_by_student(self) -> Iterator[tuple[str, list[str], list[str]]]:
+        """(student, its legal schools, its illegal schools) for every
+        student in index order, each list in school index order.
+
+        One pass over the schools' rows in index order drops each school
+        into the bucket of every student it lists, so every bucket comes
+        out sorted without a comparison sort.
+        """
+        students = self._inst.students
+        legal: list[list[str]] = [[] for _ in students]
+        illegal: list[list[str]] = [[] for _ in students]
+        for b, row, keep in zip(self._inst.schools, self._inst._b_pref, self._keep):
+            for a in compress(row, keep):
+                legal[a].append(b)
+            for a in compress(row, map(not_, keep)):
+                illegal[a].append(b)
+        return zip(students, legal, illegal)
 
 
 def legal_subinstance(inst: Instance) -> LegalSubinstanceReport:
@@ -79,45 +129,48 @@ def legal_subinstance(inst: Instance) -> LegalSubinstanceReport:
     up = school_side_run(inst)
     down = student_side_run(inst)
     mid = student_side_run(inst, mode=ENUMERATE)
-    rotations = (tuple(sigma_inverse(tau) for tau in reversed(up.rotations))
-                 + mid.rotations + down.rotations)
+    # sigma_inverse of each school-rotation (b_i, a_i): the pairs (a_i, b_{i-1})
+    rotations = ([[(tau[i][1], tau[i - 1][0]) for i in range(len(tau))]
+                  for tau in reversed(up._rotations)]
+                 + mid._rotations + down._rotations)
 
-    from_bottom = set(down.assignment.matched_pairs)
-    for rho in rotations:
-        from_bottom.update(rho.pairs)
-    from_top = set(up.assignment.matched_pairs)
-    for rho in rotations:
-        pairs = rho.pairs
-        r = len(pairs)
-        from_top.update((pairs[i][0], pairs[(i + 1) % r][1]) for i in range(r))
+    from_bottom = {(a, b) for a, b in enumerate(down._match) if b >= 0}
+    from_top = {(a, b) for a, b in enumerate(up._match) if b >= 0}
+    for rot in rotations:
+        from_bottom.update(rot)
+        r = len(rot)
+        from_top.update((rot[i][0], rot[(i + 1) % r][1]) for i in range(r))
     if from_bottom != from_top:
         raise AssertionError("legal edge set differs between the two walks")
 
-    legal = frozenset(from_bottom)
-    schools = inst.schools
-    illegal: list[tuple[str, str]] = []
-    s_keep: list[bytes] = []
-    for a, row in zip(inst.students, inst._s_pref):
-        cells = [(a, schools[j]) for j in row]
-        keep = bytes(map(legal.__contains__, cells))
-        illegal += compress(cells, map(not_, keep))
-        s_keep.append(keep)
-    return LegalSubinstanceReport(_restrict(inst, s_keep), legal, frozenset(illegal),
-                                  up.assignment, down.assignment, rotations,
-                                  up.counters + down.counters + mid.counters)
+    # Every legal edge of a student lies on its list between its schools in
+    # the two legal optima, so only that stretch of each list is looked at.
+    keep = [bytearray(len(row)) for row in inst._b_pref]
+    marked = 0
+    for a, (row, cranks, top, bottom) in enumerate(zip(
+            inst._s_pref, inst._s_srank, up._match_pos, down._match_pos)):
+        for k in range(top, min(bottom + 1, len(row))):
+            if (a, row[k]) in from_bottom:
+                keep[row[k]][cranks[k]] = 1
+                marked += 1
+    if marked != len(from_bottom):
+        raise AssertionError("a legal edge lies outside the legal optima")
+    return LegalSubinstanceReport(up.assignment, down.assignment,
+                                  up.counters + down.counters + mid.counters,
+                                  inst, keep, rotations)
 
 
-def _restrict(inst: Instance, s_keep: list[bytes]) -> Instance:
-    """The instance without the edges whose student-side keep flag is 0.
+def _restrict(inst: Instance, b_keep: list[bytearray]) -> Instance:
+    """The instance without the edges whose school-side keep flag is 0.
 
-    The school side's flags follow through the cross ranks.  A kept cell's
+    The student side's flags follow through the cross ranks.  A kept cell's
     new position is the number of kept cells up to and including it, minus
     one.
     """
-    b_keep = [bytearray(len(row)) for row in inst._b_pref]
-    for row, cranks, keep in zip(inst._s_pref, inst._s_srank, s_keep):
-        for j, c in compress(zip(row, cranks), keep):
-            b_keep[j][c] = 1
+    s_keep = [bytearray(len(row)) for row in inst._s_pref]
+    for row, cranks, keep in zip(inst._b_pref, inst._b_rrank, b_keep):
+        for i, c in compress(zip(row, cranks), keep):
+            s_keep[i][c] = 1
     s_pos = [list(accumulate(keep)) for keep in s_keep]
     b_pos = [list(accumulate(keep)) for keep in b_keep]
     s_srank = [[b_pos[j][c] - 1 for j, c in compress(zip(row, cranks), keep)]

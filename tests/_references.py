@@ -1,19 +1,23 @@
-"""Digraph-rebuilding references the linear walks are tested against.
+"""References the fast, index-level code is tested against.
 
-They rebuild the rotation digraph from scratch at every step, so they are
-slow and only meant for small markets.
+The digraph-rebuilding ones rebuild the rotation digraph from scratch at
+every step, so they are slow and only meant for small markets.  The
+legal-subinstance one assembles the report from named edges.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import not_
 
-from legalassign import Assignment, Instance, gs_school, gs_student
+from legalassign import Assignment, Counters, Instance, gs_school, gs_student
+from legalassign.engine import ENUMERATE, school_side_run, student_side_run
 from legalassign.model import SCHOOLS, STUDENTS, _check_side
 from legalassign.rotations import (Rotation, _cycle_to_rotation,
                                    build_rotation_digraph, eliminate,
-                                   exposed_rotations)
+                                   exposed_rotations, sigma_inverse)
 
 
 @dataclass(frozen=True)
@@ -84,3 +88,68 @@ def all_rotations_naive(inst: Instance, side: str) -> list[Rotation]:
             return out
         out.append(rot[0])
         m = eliminate(inst, m, rot[0])
+
+
+@dataclass(frozen=True)
+class ReferenceReport:
+    instance: Instance
+    legal_edges: frozenset[tuple[str, str]]
+    illegal_edges: frozenset[tuple[str, str]]
+    student_optimal: Assignment
+    school_optimal: Assignment
+    rotations: tuple[Rotation, ...]
+    counters: Counters
+
+
+def legal_subinstance_reference(inst: Instance) -> ReferenceReport:
+    """legal_subinstance from named edges: the walks' named rotations, one
+    (student, school) tuple per cell tested against a frozenset, and a
+    rebuild from per-student keep flags."""
+    up = school_side_run(inst)
+    down = student_side_run(inst)
+    mid = student_side_run(inst, mode=ENUMERATE)
+    rotations = (tuple(sigma_inverse(tau) for tau in reversed(up.rotations))
+                 + mid.rotations + down.rotations)
+
+    from_bottom = set(down.assignment.matched_pairs)
+    for rho in rotations:
+        from_bottom.update(rho.pairs)
+    from_top = set(up.assignment.matched_pairs)
+    for rho in rotations:
+        pairs = rho.pairs
+        r = len(pairs)
+        from_top.update((pairs[i][0], pairs[(i + 1) % r][1]) for i in range(r))
+    if from_bottom != from_top:
+        raise AssertionError("legal edge set differs between the two walks")
+
+    legal = frozenset(from_bottom)
+    schools = inst.schools
+    illegal: list[tuple[str, str]] = []
+    s_keep: list[bytes] = []
+    for a, row in zip(inst.students, inst._s_pref):
+        cells = [(a, schools[j]) for j in row]
+        keep = bytes(map(legal.__contains__, cells))
+        illegal += compress(cells, map(not_, keep))
+        s_keep.append(keep)
+    return ReferenceReport(_restrict_by_students(inst, s_keep), legal, frozenset(illegal),
+                           up.assignment, down.assignment, rotations,
+                           up.counters + down.counters + mid.counters)
+
+
+def _restrict_by_students(inst: Instance, s_keep: list[bytes]) -> Instance:
+    """The instance without the edges whose student-side keep flag is 0."""
+    b_keep = [bytearray(len(row)) for row in inst._b_pref]
+    for row, cranks, keep in zip(inst._s_pref, inst._s_srank, s_keep):
+        for j, c in compress(zip(row, cranks), keep):
+            b_keep[j][c] = 1
+    s_pos = [list(accumulate(keep)) for keep in s_keep]
+    b_pos = [list(accumulate(keep)) for keep in b_keep]
+    s_srank = [[b_pos[j][c] - 1 for j, c in compress(zip(row, cranks), keep)]
+               for row, cranks, keep in zip(inst._s_pref, inst._s_srank, s_keep)]
+    b_rrank = [[s_pos[i][c] - 1 for i, c in compress(zip(row, cranks), keep)]
+               for row, cranks, keep in zip(inst._b_pref, inst._b_rrank, b_keep)]
+    return Instance._from_arrays(
+        inst.students, inst.schools, inst._quota,
+        [list(compress(row, keep)) for row, keep in zip(inst._s_pref, s_keep)],
+        [list(compress(row, keep)) for row, keep in zip(inst._b_pref, b_keep)],
+        s_srank, b_rrank)

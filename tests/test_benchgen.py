@@ -7,8 +7,8 @@ import pytest
 from legalassign import (ConsentSet, EqualityViolation, GenConfig,
                          MechanismTimeout, PlanCell, generate, gs_student,
                          run_bench, sample_consent, write_csv)
-from legalassign.benchgen import (CSV_COLUMNS, MECHANISMS, NYC,
-                                  gen_truncated, instance_id)
+from legalassign.benchgen import (CSV_COLUMNS, MECHANISMS, NYC, RNG_NAME,
+                                  RNG_VERSION, gen_truncated, instance_id)
 import legalassign.benchgen as benchgen
 
 
@@ -109,9 +109,12 @@ def test_csv_shape():
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(records)
     row = lines[1].split(",")
-    assert len(row) == 15
+    assert len(row) == 17
     assert row[0] == "complete-15x2-uniform-s1"
     assert row[6] == "0.25"
+    assert CSV_COLUMNS[-2:] == ("rng_name", "rng_version")
+    assert row[-2:] == [RNG_NAME, RNG_VERSION] == [records[0].rng_name,
+                                                    records[0].rng_version]
 
 
 def test_timeout_trips():

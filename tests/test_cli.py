@@ -2,15 +2,19 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legalassign import fixture_path
-from legalassign.cli import _sorted_edges, main
+from legalassign import (Counters, Instance, LegalSubinstanceReport, fixture_path,
+                         gs_student, legal_subinstance)
+from legalassign.cli import main
 
 from _markets import random_market
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def fx(name):
@@ -256,10 +260,72 @@ def test_module_entry_point():
 
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
-def test_sorted_edges_orders_by_student_then_school_index(seed):
+def test_edges_by_student_orders_by_student_then_school_index(seed):
     rng = random.Random(seed)
     inst = random_market(rng)
-    edges = frozenset(e for e in inst.edges() if rng.random() < 0.5)
+    keep = [bytearray(rng.random() < 0.5 for _ in row) for row in inst._b_pref]
+    m = gs_student(inst).assignment
+    rep = LegalSubinstanceReport(m, m, Counters(), inst, keep, [])
     si = {a: i for i, a in enumerate(inst.students)}
     bi = {b: j for j, b in enumerate(inst.schools)}
-    assert list(_sorted_edges(inst, edges)) == sorted(edges, key=lambda e: (si[e[0]], bi[e[1]]))
+    by_index = lambda e: (si[e[0]], bi[e[1]])
+    rows = list(rep.edges_by_student())
+    assert [a for a, _, _ in rows] == list(inst.students)
+    legal = [(a, b) for a, good, _ in rows for b in good]
+    illegal = [(a, b) for a, _, bad in rows for b in bad]
+    assert legal == sorted(rep.legal_edges, key=by_index)
+    assert illegal == sorted(rep.illegal_edges, key=by_index)
+    assert rep.legal_edges == frozenset(
+        (inst.students[i], b) for b, row, flags in zip(inst.schools, inst._b_pref, keep)
+        for i, flag in zip(row, flags) if flag)
+    assert rep.illegal_edges == frozenset(inst.edges()) - rep.legal_edges
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("k", range(1, 10))
+def test_solve_subgraph_golden(capsys, k, fmt, suffix):
+    code, out, _ = run(capsys, "solve", "--mechanism", "legal-subgraph",
+                       "--input", fx(f"ex{k}.inst"), "--format", fmt)
+    assert code == 0
+    assert out == (GOLDEN / f"ex{k}.legal-subgraph.{suffix}").read_text()
+
+
+def test_solve_subgraph_writes_edges_in_index_order(tmp_path, capsys):
+    # school names that sort against their index order
+    inst = random_market(random.Random(4), max_students=12, max_schools=5)
+    names = {b: f"s{len(inst.schools) - j}" for j, b in enumerate(inst.schools)}
+    renamed = Instance(inst.students, [names[b] for b in inst.schools],
+                       {names[b]: q for b, q in inst.quota.items()},
+                       {a: [names[b] for b in row] for a, row in inst.student_prefs.items()},
+                       {names[b]: row for b, row in inst.school_prefs.items()})
+    path = tmp_path / "market.inst"
+    path.write_text(renamed.to_text())
+    rep = legal_subinstance(renamed)
+    assert rep.legal_edges and rep.illegal_edges
+    by_index = lambda e: (renamed.students.index(e[0]), renamed.schools.index(e[1]))
+    lines = lambda edges: "".join(f"{a} {b}\n" for a, b in sorted(edges, key=by_index))
+    code, out, _ = run(capsys, "solve", "--mechanism", "legal-subgraph", "--input", str(path))
+    assert code == 0
+    assert out == ("legal edges:\n" + lines(rep.legal_edges)
+                   + "\nillegal edges:\n" + lines(rep.illegal_edges)
+                   + "\nstudent-optimal:\n" + rep.student_optimal.format(renamed)
+                   + "\nschool-optimal:\n" + rep.school_optimal.format(renamed))
+
+
+def test_repeated_main_calls_carry_no_state(tmp_path, capsys):
+    # the parser is built once per process; each call must still start clean
+    solve = ("solve", "--mechanism", "gs", "--input", fx("ex5.inst"))
+    text = "a1 b3\na2 b2\na3 b4\na4 b1\n"
+    code, _, err = run(capsys, "solve", "--mechanism", "bogus", "--input", fx("ex5.inst"))
+    assert code == 2 and "invalid choice" in err
+    assert run(capsys, *solve) == (0, text, "")
+    target = tmp_path / "out.txt"
+    assert run(capsys, *solve, "--output", str(target)) == (0, "", "")
+    assert target.read_text() == text
+    assert run(capsys, *solve) == (0, text, "")
+    code, out, _ = run(capsys, *solve, "--format", "json", "--counters")
+    assert code == 0 and json.loads(out)["mechanism"] == "gs"
+    assert run(capsys, *solve) == (0, text, "")
+    code, out, _ = run(capsys, "validate", "--input", fx("ex3.inst"))
+    assert (code, out) == (0, "ok: 6 students, 3 schools, 18 edges\n")
+    assert run(capsys, *solve) == (0, text, "")

@@ -121,3 +121,23 @@ def test_rerun_counts_stay_small(seed):
     assert simplified_eadam(inst, consent).gs_runs <= inst.n_students + inst.n_schools + 1
     walk = rotate_remove_consent(inst, consent)
     assert walk.counters.total_scans <= 8 * inst.n_edges + 8
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_consent_walk_seals_right_after_each_refusal(seed):
+    # the removal order: a sink deletion (a, b), then, if a did not consent,
+    # every student below a on b's list, in list order
+    rng = random.Random(seed)
+    inst = random_market(rng, max_students=12, max_schools=4)
+    consent = random_consent(rng, inst)
+    removed = rotate_remove_consent(inst, consent).removed_edges
+    i = 0
+    while i < len(removed):
+        a, b = removed[i]
+        i += 1
+        if a not in consent.consenting:
+            row = inst.school_prefs[b]
+            below = [(x, b) for x in row[row.index(a) + 1:]]
+            assert list(removed[i:i + len(below)]) == below
+            i += len(below)

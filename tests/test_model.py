@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legalassign import (Assignment, Instance, InvalidInstanceError, ParseError,
-                         blocking_pairs, blocks, dominates, is_blocking_pair,
-                         is_stable, parse_instance, reduce_one_to_one)
+from legalassign import (Assignment, GenConfig, Instance, InvalidInstanceError,
+                         ParseError, blocking_pairs, blocks, dominates, generate,
+                         gs_student, is_blocking_pair, is_stable, parse_instance,
+                         reduce_one_to_one)
 
 from _markets import random_market
 
@@ -265,3 +266,54 @@ def test_stability_iff_no_blocking_pair(seed):
             load[pick] += 1
     m = Assignment(match)
     assert is_stable(inst, m) == (next(blocking_pairs(inst, m), None) is None)
+
+
+def _some_assignment(rng: random.Random, inst: Instance) -> Assignment:
+    """Each student takes a random school with a free seat, or none."""
+    match: dict[str, str | None] = {}
+    load = dict.fromkeys(inst.schools, 0)
+    for a in inst.students:
+        opts = [b for b in inst.student_prefs[a] if load[b] < inst.quota_of(b)]
+        match[a] = pick = rng.choice(opts + [None])
+        if pick is not None:
+            load[pick] += 1
+    return Assignment(match)
+
+
+def _blocking_pairs_per_edge(inst: Instance, m: Assignment) -> list[tuple[str, str]]:
+    return [(a, b) for a, b in inst.edges() if is_blocking_pair(inst, m, a, b)]
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_blocking_pairs_match_the_per_edge_check(seed):
+    rng = random.Random(seed)
+    inst = random_market(rng)
+    m = _some_assignment(rng, inst)
+    assert list(blocking_pairs(inst, m)) == _blocking_pairs_per_edge(inst, m)
+
+
+def test_blocking_pairs_with_quotas_near_100():
+    rng = random.Random(5)
+    inst = generate(GenConfig(600, 4, quota_lo=90, quota_hi=110, list_length=3, seed=5))
+    assert all(90 <= inst.quota_of(b) <= 110 for b in inst.schools)
+    stable = gs_student(inst).assignment
+    assert is_stable(inst, stable)
+    assert list(blocking_pairs(inst, stable)) == []
+    # serial dictatorship in a random order fills every school, so the
+    # worst-member comparison decides most edges
+    order = list(inst.students)
+    rng.shuffle(order)
+    load = dict.fromkeys(inst.schools, 0)
+    match: dict[str, str | None] = dict.fromkeys(inst.students)
+    for a in order:
+        pick = next((b for b in inst.student_prefs[a] if load[b] < inst.quota_of(b)), None)
+        if pick is not None:
+            match[a] = pick
+            load[pick] += 1
+    assert all(load[b] == inst.quota_of(b) for b in inst.schools)
+    for m in (Assignment(match), _some_assignment(rng, inst)):
+        expected = _blocking_pairs_per_edge(inst, m)
+        assert expected
+        assert list(blocking_pairs(inst, m)) == expected
+        assert not is_stable(inst, m)

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from legalassign import (Assignment, Instance, dominates, enumerate_stable,
                          student_optimal_legal)
 
 from _markets import random_market
+from _references import legal_subinstance_reference
 
 STUDENT_OPT_EX3 = Assignment({"a1": "b2", "a2": "b2", "a3": "b3",
                               "a4": "b1", "a5": "b3", "a6": "b1"})
@@ -131,3 +133,29 @@ def test_subinstance_matches_a_validating_build(seed):
     assert sub == built
     assert (sub._s_srank, sub._b_rrank) == (built._s_srank, built._b_rrank)
     assert report.illegal_edges == frozenset(inst.edges()) - legal
+
+
+def _assert_report_matches_reference(inst):
+    report, ref = legal_subinstance(inst), legal_subinstance_reference(inst)
+    assert report.legal_edges == ref.legal_edges
+    assert report.illegal_edges == ref.illegal_edges
+    assert report.student_optimal == ref.student_optimal
+    assert report.school_optimal == ref.school_optimal
+    assert report.rotations == ref.rotations
+    assert report.counters == ref.counters
+    sub = report.instance
+    assert sub == ref.instance
+    assert (sub._s_srank, sub._b_rrank) == (ref.instance._s_srank, ref.instance._b_rrank)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_report_equals_the_named_edge_reference(seed):
+    _assert_report_matches_reference(random_market(random.Random(seed)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_report_equals_the_named_edge_reference_on_larger_markets(seed):
+    rng = random.Random(seed)
+    _assert_report_matches_reference(
+        random_market(rng, max_students=40, max_schools=8, max_quota=4))
