@@ -2,12 +2,17 @@
 
 Everything here enumerates, so it is only usable on toy instances, but it is
 written straight from the definitions and shares no code with the production
-solvers.  The differential test suites treat its answers as authoritative.
+solvers.  It reads an instance only through its preference lists and quotas,
+never through the cross-rank tables the solvers use.  The differential test
+suites treat its answers as authoritative.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from functools import reduce
+from itertools import accumulate, compress, repeat
+from operator import or_
+from typing import Sequence
 
 from .eadam import ConsentSet, _consent_flags
 from .model import Assignment, Instance, dominates
@@ -77,56 +82,88 @@ def is_maximal(inst: Instance, m: Assignment) -> bool:
 class _Universe:
     """Enumerated assignments with per-assignment bitmask indexes.
 
-    ``edge_bit`` numbers the edges; ``own[i]`` is the bitmask of assignment
-    i's matched edges and ``blocked_by[i]`` the mask of edges that block it.
-    An assignment is blocked by a set S of assignments iff its blocked_by
-    mask intersects the union of S's own masks, because blocking is purely
-    edge-based.
+    Edges are numbered in ``Instance.edges`` order; ``own[i]`` is the
+    bitmask of assignment i's matched edges and ``blocked_by[i]`` the mask
+    of edges that block it.  An assignment is blocked by a set S of
+    assignments iff its blocked_by mask intersects the union of S's own
+    masks, because blocking is purely edge-based.
+
+    Blocking factorises by side: edge (a, b) blocks m iff a prefers b to
+    m(a) and b admits a, that is, b has a free seat or ranks a above its
+    worst member.  So ``blocked_by`` is the union of the students' "prefers"
+    masks intersected with the union of the schools' "admits" masks, and
+    ``build`` never looks at an edge on its own.  Each student's options
+    (a school on its list, or ``None``) map to a code of three disjoint
+    fields: the option's own-edge bit, the mask of edges the student
+    prefers to it, and the seat bit it fills on the school side (the
+    school's offset plus the student's rank there).  No two students share
+    a bit, so the sum of the codes is the union of each field; a school's
+    members are the set bits of its slice of the seat field.
     """
 
     inst: Instance
     assignments: list[Assignment]
-    edge_bit: dict[tuple[str, str], int]
+    codes: list[dict[str | None, int]]  # per student: option -> code
     own: list[int]
     blocked_by: list[int]
 
     @classmethod
     def build(cls, inst: Instance, cap: int = DEFAULT_CAP) -> "_Universe":
         assignments = enumerate_assignments(inst, cap)
-        edge_bit = {e: k for k, e in enumerate(inst.edges())}
-        s_rank = {a: {b: r for r, b in enumerate(inst.student_prefs[a])} for a in inst.students}
-        b_rank = {b: {a: r for r, a in enumerate(inst.school_prefs[b])} for b in inst.schools}
-        quota = {b: inst.quota_of(b) for b in inst.schools}
+        s_off = list(accumulate(map(len, inst._s_pref), initial=0))
+        b_off = list(accumulate(map(len, inst._b_pref), initial=0))
+        n_edges = s_off[-1]
+        s_rank = [{j: r for r, j in enumerate(row)} for row in inst._s_pref]
+        b_rank = [{i: c for c, i in enumerate(row)} for row in inst._b_pref]
+        schools = inst.schools
+        codes: list[dict[str | None, int]] = []
+        for i, (off, row) in enumerate(zip(s_off, inst._s_pref)):
+            code: dict[str | None, int] = {
+                schools[j]: ((1 << (off + r)) | (((1 << r) - 1) << (off + n_edges))
+                             | (1 << (2 * n_edges + b_off[j] + b_rank[j][i])))
+                for r, j in enumerate(row)}
+            code[None] = ((1 << len(row)) - 1) << (off + n_edges)
+            codes.append(code)
+        # per school: (seat offset, seat-field mask, quota, admit masks), where
+        # admit[w] holds the edges of its first w students and admit[-1] all
+        admits = []
+        for j, (off, row, q) in enumerate(zip(b_off, inst._b_pref, inst._quota)):
+            admit = [0]
+            for i in row:
+                admit.append(admit[-1] | (1 << (s_off[i] + s_rank[i][j])))
+            admits.append((off, (1 << len(row)) - 1, q, admit))
+
+        edge_field = (1 << n_edges) - 1
+        students = inst.students
         own: list[int] = []
         blocked: list[int] = []
         for m in assignments:
-            o = 0
-            for pair in m.matched_pairs:
-                o |= 1 << edge_bit[pair]
-            own.append(o)
-            worst: dict[str, int] = {}
-            load: dict[str, int] = {}
-            for a, b in m.matched_pairs:
-                r = b_rank[b][a]
-                load[b] = load.get(b, 0) + 1
-                if r > worst.get(b, -1):
-                    worst[b] = r
-            mask = 0
-            for (a, b), k in edge_bit.items():
-                cur = m.school_of(a)
-                if cur is not None and s_rank[a][cur] <= s_rank[a][b]:
-                    continue
-                if load.get(b, 0) < quota[b] or b_rank[b][a] < worst[b]:
-                    mask |= 1 << k
-            blocked.append(mask)
-        return cls(inst, assignments, edge_bit, own, blocked)
+            total = sum(map(dict.__getitem__, codes, map(m._match.__getitem__, students)))
+            seats = total >> 2 * n_edges
+            admitted = 0
+            for off, field, q, admit in admits:
+                members = (seats >> off) & field
+                # a full school admits the students it ranks above its worst member
+                admitted |= admit[-1] if members.bit_count() < q else admit[members.bit_length() - 1]
+            own.append(total & edge_field)
+            blocked.append((total >> n_edges) & admitted)
+        return cls(inst, assignments, codes, own, blocked)
+
+    def own_of(self, m: Assignment) -> int | None:
+        """m's own mask by its per-student schools; None if m names a
+        student or an edge outside the instance."""
+        match = m.mapping
+        try:
+            total = sum(map(dict.__getitem__, self.codes,
+                            map(match.pop, self.inst.students, repeat(None))))
+        except KeyError:
+            return None
+        if any(b is not None for b in match.values()):
+            return None
+        return total & ((1 << self.inst.n_edges) - 1)
 
     def union_mask(self, member: Sequence[bool]) -> int:
-        u = 0
-        for i, keep in enumerate(member):
-            if keep:
-                u |= self.own[i]
-        return u
+        return reduce(or_, compress(self.own, member), 0)
 
 
 def enumerate_stable(inst: Instance, cap: int = DEFAULT_CAP) -> list[Assignment]:
@@ -146,18 +183,18 @@ def legal_fixed_point(
     the legal set.  Returns (legal set, [L0, L1, ..., Lk]).
     """
     uni = _Universe.build(inst, cap)
-    n = len(uni.assignments)
-    cur = [bm == 0 for bm in uni.blocked_by]  # L0 = stable set
-    trace = [[m for m, keep in zip(uni.assignments, cur) if keep]]
+    blocked = uni.blocked_by
+    cur = [bm == 0 for bm in blocked]  # L0 = stable set
+    trace = [list(compress(uni.assignments, cur))]
     while True:
         u_cur = uni.union_mask(cur)
-        survivors = [uni.blocked_by[i] & u_cur == 0 for i in range(n)]  # not blocked by L
+        survivors = [bm & u_cur == 0 for bm in blocked]  # not blocked by L
         u_surv = uni.union_mask(survivors)
-        nxt = [uni.blocked_by[i] & u_surv == 0 for i in range(n)]
+        nxt = [bm & u_surv == 0 for bm in blocked]
         if nxt == cur:
             break
         cur = nxt
-        trace.append([m for m, keep in zip(uni.assignments, cur) if keep])
+        trace.append(list(compress(uni.assignments, cur)))
     return trace[-1], trace
 
 
@@ -180,10 +217,10 @@ def verify_legal_property(
     blocked by some member.  Returns the first witness found on failure.
     """
     uni = _Universe.build(inst, cap)
-    index = {m: i for i, m in enumerate(uni.assignments)}
+    index = dict(zip(uni.own, range(len(uni.own))))
     member = [False] * len(uni.assignments)
     for m in candidate:
-        i = index.get(m)
+        i = index.get(uni.own_of(m))
         if i is None:
             raise ValueError(f"candidate contains an assignment outside the universe: {m!r}")
         member[i] = True
@@ -254,9 +291,17 @@ def is_constrained_efficient(inst: Instance, consent: ConsentSet | None,
     refusing = [a for i, a in enumerate(inst.students) if not flags[i]]
     if any(_violated_priority(inst, m, a) for a in refusing):
         return False
+    students = inst.students
+    here = tuple(map(m.school_of, students))
+    # per student: the options it weakly prefers to its school in m
+    better = []
+    for a, b in zip(students, here):
+        row = inst.student_prefs[a]
+        better.append(frozenset(row + (None,) if b is None else row[:inst.student_rank(a, b) + 1]))
     for m2 in enumerate_assignments(inst, cap):
         # strict preferences: m2 strictly dominates m iff it weakly does and differs
-        if m2 == m or not dominates(inst, m2, m):
+        there = tuple(map(m2._match.__getitem__, students))
+        if there == here or not all(map(frozenset.__contains__, better, there)):
             continue
         if not any(_violated_priority(inst, m2, a) for a in refusing):
             return False

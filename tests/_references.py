@@ -2,7 +2,8 @@
 
 The digraph-rebuilding ones rebuild the rotation digraph from scratch at
 every step, so they are slow and only meant for small markets.  The
-legal-subinstance one assembles the report from named edges.
+legal-subinstance one assembles the report from named edges.  The oracle
+ones test every edge against every assignment through string dicts.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import not_
 
-from legalassign import Assignment, Counters, Instance, gs_school, gs_student
+from legalassign import (Assignment, ConsentSet, Counters, Instance, dominates,
+                         gs_school, gs_student)
+from legalassign.eadam import _consent_flags
 from legalassign.engine import ENUMERATE, school_side_run, student_side_run
 from legalassign.model import SCHOOLS, STUDENTS, _check_side
+from legalassign.oracle import _violated_priority, enumerate_assignments
 from legalassign.rotations import (Rotation, _cycle_to_rotation,
                                    build_rotation_digraph, eliminate,
                                    exposed_rotations, sigma_inverse)
@@ -153,3 +157,52 @@ def _restrict_by_students(inst: Instance, s_keep: list[bytes]) -> Instance:
         [list(compress(row, keep)) for row, keep in zip(inst._s_pref, s_keep)],
         [list(compress(row, keep)) for row, keep in zip(inst._b_pref, b_keep)],
         s_srank, b_rrank)
+
+
+def universe_masks_reference(inst: Instance,
+                             assignments: list[Assignment]) -> tuple[list[int], list[int]]:
+    """(own, blocked_by) masks of _Universe, one edge at a time: an edge
+    blocks m when its student prefers it to m and its school has a free
+    seat or ranks the student above its worst member."""
+    edge_bit = {e: k for k, e in enumerate(inst.edges())}
+    s_rank = {a: {b: r for r, b in enumerate(inst.student_prefs[a])} for a in inst.students}
+    b_rank = {b: {a: r for r, a in enumerate(inst.school_prefs[b])} for b in inst.schools}
+    quota = {b: inst.quota_of(b) for b in inst.schools}
+    own: list[int] = []
+    blocked: list[int] = []
+    for m in assignments:
+        o = 0
+        for pair in m.matched_pairs:
+            o |= 1 << edge_bit[pair]
+        own.append(o)
+        worst: dict[str, int] = {}
+        load: dict[str, int] = {}
+        for a, b in m.matched_pairs:
+            r = b_rank[b][a]
+            load[b] = load.get(b, 0) + 1
+            if r > worst.get(b, -1):
+                worst[b] = r
+        mask = 0
+        for (a, b), k in edge_bit.items():
+            cur = m.school_of(a)
+            if cur is not None and s_rank[a][cur] <= s_rank[a][b]:
+                continue
+            if load.get(b, 0) < quota[b] or b_rank[b][a] < worst[b]:
+                mask |= 1 << k
+        blocked.append(mask)
+    return own, blocked
+
+
+def is_constrained_efficient_reference(inst: Instance, consent: ConsentSet | None,
+                                       m: Assignment) -> bool:
+    """is_constrained_efficient through dominates and assignment equality."""
+    flags = _consent_flags(inst, consent)
+    refusing = [a for i, a in enumerate(inst.students) if not flags[i]]
+    if any(_violated_priority(inst, m, a) for a in refusing):
+        return False
+    for m2 in enumerate_assignments(inst):
+        if m2 == m or not dominates(inst, m2, m):
+            continue
+        if not any(_violated_priority(inst, m2, a) for a in refusing):
+            return False
+    return True

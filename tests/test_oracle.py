@@ -7,14 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legalassign
-from legalassign import (Assignment, OracleCapError, auxiliary_instance,
-                         blocking_digraph, blocks, enumerate_assignments,
-                         enumerate_stable, gs_school, gs_student, is_stable,
-                         legal_edges_brute, legal_fixed_point,
+from legalassign import (Assignment, GenConfig, Instance, OracleCapError,
+                         auxiliary_instance, blocking_digraph, blocks,
+                         enumerate_assignments, enumerate_stable, fixture_path,
+                         generate, gs_school, gs_student, instance_from_latin,
+                         is_blocking_pair, is_constrained_efficient, is_stable,
+                         legal_edges_brute, legal_fixed_point, legal_subinstance,
+                         parse_instance, parse_latin, rotate_remove_consent,
                          verify_legal_property)
-from legalassign.oracle import is_maximal, optimal_in
+from legalassign.oracle import _Universe, is_maximal, optimal_in
 
-from _markets import random_market
+from _markets import random_consent, random_market
+from _references import (is_constrained_efficient_reference,
+                         universe_masks_reference)
 
 M_STABLE = Assignment({"1": "B", "2": "A", "3": "C"})
 M_LEGAL = Assignment({"1": "A", "2": "B", "3": "C"})
@@ -152,3 +157,143 @@ def test_solver_modules_do_not_import_the_oracle(module):
     path = Path(legalassign.__file__).with_name(f"{module}.py")
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert not [node.lineno for node in ast.walk(tree) if _imports_oracle(node)]
+
+
+def _named_markets():
+    markets = {f"ex{k}": parse_instance(fixture_path(f"ex{k}.inst").read_text())
+               for k in range(1, 10)}
+    markets["latin"] = instance_from_latin(parse_latin(fixture_path("ex9.matrix").read_text()))
+    return markets
+
+
+NAMED = _named_markets()
+
+
+def _assert_masks_match_reference(inst):
+    uni = _Universe.build(inst)
+    assert (uni.own, uni.blocked_by) == universe_masks_reference(inst, uni.assignments)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_universe_masks_match_reference_on_fixtures(name):
+    _assert_masks_match_reference(NAMED[name])
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_universe_masks_match_reference(seed):
+    # quotas up to 3 and lists that may be empty
+    _assert_masks_match_reference(random_market(random.Random(seed), max_students=6,
+                                                max_quota=3))
+
+
+@pytest.mark.parametrize("cfg", [
+    GenConfig(6, 3, quota_lo=1, quota_hi=2, seed=5),
+    GenConfig(7, 3, quota_lo=1, quota_hi=3, list_length=2, seed=6),
+])
+def test_universe_masks_match_reference_on_trusted_instances(cfg):
+    # generator output and legal subinstances come through Instance._from_arrays
+    inst = generate(cfg)
+    _assert_masks_match_reference(inst)
+    _assert_masks_match_reference(legal_subinstance(inst).instance)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=15, deadline=None)
+def test_universe_masks_ignore_the_cross_rank_tables(seed):
+    # the oracle reads only the preference lists, so a wrong cross rank
+    # in a trusted instance cannot change its answer
+    inst = random_market(random.Random(seed), max_students=6, max_quota=3)
+    scrambled = Instance._from_arrays(
+        inst.students, inst.schools, inst._quota, inst._s_pref, inst._b_pref,
+        [[0] * len(row) for row in inst._s_pref], [[0] * len(row) for row in inst._b_pref])
+    uni = _Universe.build(scrambled)
+    assert (uni.own, uni.blocked_by) == universe_masks_reference(inst, uni.assignments)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_universe_masks_agree_with_the_edge_predicate(seed):
+    inst = random_market(random.Random(seed), max_students=5)
+    edges = list(inst.edges())
+    uni = _Universe.build(inst)
+    for m, own, blocked in zip(uni.assignments, uni.own, uni.blocked_by):
+        assert {e for k, e in enumerate(edges) if own >> k & 1} == m.matched_pairs
+        assert [blocked >> k & 1 == 1 for k in range(len(edges))] == [
+            is_blocking_pair(inst, m, a, b) for a, b in edges]
+
+
+def test_constrained_efficiency_matches_reference():
+    verdicts = set()
+    for seed in range(30):
+        rng = random.Random(seed)
+        inst = random_market(rng, max_students=6)
+        consent = random_consent(rng, inst) if seed % 5 else None
+        universe = enumerate_assignments(inst)
+        candidates = rng.sample(universe, min(3, len(universe)))
+        candidates.append(rotate_remove_consent(inst, consent).assignment)
+        for m in candidates:
+            verdict = is_constrained_efficient(inst, consent, m)
+            assert verdict == is_constrained_efficient_reference(inst, consent, m)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _reordered(m: Assignment) -> Assignment:
+    return Assignment(dict(reversed(m.mapping.items())))
+
+
+def _matched_only(m: Assignment) -> Assignment:
+    return Assignment({a: b for a, b in m.mapping.items() if b is not None})
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_verify_reads_candidates_by_their_schools_not_their_order(seed):
+    rng = random.Random(seed)
+    inst = random_market(rng)
+    legal, _ = legal_fixed_point(inst)
+    legal_set = set(legal)
+    outsiders = [m for m in enumerate_assignments(inst) if m not in legal_set]
+    for candidate in (legal, legal[1:], legal + rng.sample(outsiders, min(1, len(outsiders)))):
+        expected = verify_legal_property(inst, candidate)
+        for rebuild in (_reordered, _matched_only):
+            assert verify_legal_property(inst, [rebuild(m) for m in candidate]) == expected
+
+
+@pytest.mark.parametrize("outsider", [
+    Assignment({"1": "A", "2": "A", "3": None}),         # over quota
+    Assignment({"1": "C", "2": "C", "3": None}),         # not an edge of 2
+    Assignment({"1": "A", "2": "B", "3": "C", "4": "A"}),  # unknown student
+    Assignment({"1": "Z", "2": None, "3": None}),        # unknown school
+])
+def test_verify_rejects_a_candidate_outside_the_universe(ex1, outsider):
+    with pytest.raises(ValueError) as exc:
+        verify_legal_property(ex1, [M_STABLE, outsider])
+    assert str(exc.value) == ("candidate contains an assignment outside the universe: "
+                              f"{outsider!r}")
+
+
+def _package_imports(tree: ast.AST) -> list[tuple[str, str]]:
+    """(module, name) for every import from within legalassign."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(alias.name, "") for alias in node.names
+                    if alias.name.split(".")[0] == "legalassign"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "legalassign":
+                    continue
+                module = module.partition(".")[2]
+            out += [(module, alias.name) for alias in node.names]
+    return out
+
+
+def test_oracle_imports_only_the_model_and_consent_helpers():
+    path = Path(legalassign.__file__).with_name("oracle.py")
+    imports = _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert {module for module, _ in imports} <= {"model", "eadam"}
+    assert {name for module, name in imports if module == "eadam"} <= {
+        "ConsentSet", "_consent_flags"}
