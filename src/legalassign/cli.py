@@ -312,7 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated consent rates in [0, 1]")
     bp.add_argument("--repetitions", type=int, default=1)
     bp.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                    help="flag any run slower than this as a timeout")
+                    help="after each run returns, fail with exit status 1 if it "
+                         "took longer than this; a stuck run is not stopped")
     bp.add_argument("--repro-dir", default=None, metavar="DIR",
                     help="where to write reproducer bundles on equality failures")
     bp.add_argument("--output", metavar="FILE", help="CSV path (default stdout)")

@@ -11,7 +11,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 STUDENTS = "students"
 SCHOOLS = "schools"
@@ -63,12 +66,124 @@ def _row_fault(kind: str, owner: str, names: Sequence[str],
     raise AssertionError("row has no fault")
 
 
+def _index_rows(kind: str, owners: Sequence[str], prefs: Mapping[str, Sequence[str]],
+                index: Mapping[str, int], listed: str) -> list[list[int]]:
+    """Each owner's name row as an index row; raises for the first faulty row.
+
+    A name missing from ``index`` fails the lookup, and a repeat shows as a
+    set smaller than its row.
+    """
+    rows = []
+    for x in owners:
+        names = prefs.get(x, ())
+        try:
+            row = [index[y] for y in names]
+        except KeyError:
+            row = None
+        if row is None or len(set(row)) != len(row):
+            _row_fault(kind, x, names, index, listed)
+        rows.append(row)
+    return rows
+
+
+#: Edge count from which `Instance` joins the cross ranks by sorting.  Below
+#: it the dict join is faster, as numpy's fixed cost per call outweighs its
+#: per-edge gain (the measurement is in CHANGES.md).
+_SORT_JOIN_MIN_EDGES = 512
+
+
+def _dict_join(s_pref: list[list[int]], b_pref: list[list[int]]):
+    """Cross ranks through one rank dict per school, or None on an asymmetry.
+
+    The two sides hold equally many cells.  Distinct student cells fill
+    distinct school cells, so once every student cell is found, every
+    school cell has been reached.
+    """
+    b_rank = [dict(zip(row, range(len(row)))) for row in b_pref]
+    s_srank = []
+    b_rrank: list[list] = [[None] * len(row) for row in b_pref]
+    for i, row in enumerate(s_pref):
+        try:
+            cranks = [b_rank[j][i] for j in row]
+        except KeyError:
+            return None
+        for r, j in enumerate(row):
+            b_rrank[j][cranks[r]] = r
+        s_srank.append(cranks)
+    return s_srank, b_rrank
+
+
+def _cells(rows: list[list[int]], n_cells: int, dtype) -> tuple[np.ndarray, ...]:
+    """Owner, listed agent and in-row position of every cell, row by row."""
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    owner = np.repeat(np.arange(len(rows), dtype=dtype), lens)
+    listed = np.fromiter(chain.from_iterable(rows), dtype=dtype, count=n_cells)
+    starts = np.cumsum(lens) - lens
+    pos = np.arange(n_cells, dtype=dtype) - np.repeat(starts.astype(dtype), lens)
+    return owner, listed, pos
+
+
+def _split(flat: list[int], rows: list[list[int]]) -> list[list[int]]:
+    """``flat`` cut into pieces as long as ``rows``."""
+    out, k = [], 0
+    for row in rows:
+        e = k + len(row)
+        out.append(flat[k:e])
+        k = e
+    return out
+
+
+def _sort_join(s_pref: list[list[int]], b_pref: list[list[int]],
+               n_schools: int, n_edges: int):
+    """Cross ranks by one sort of each side's cells, or None on an asymmetry.
+
+    Every cell is keyed by ``student * n_schools + school``.  No row repeats
+    an agent, so each side's keys are distinct, and the two sides hold the
+    same edges exactly when their sorted keys are equal.  The k-th sorted
+    student cell and the k-th sorted school cell are then the same edge, so
+    each takes the other's in-row position as its cross rank.
+    """
+    dtype = np.int32 if len(s_pref) * n_schools < 2 ** 31 else np.int64
+    s_owner, s_listed, s_pos = _cells(s_pref, n_edges, dtype)
+    b_owner, b_listed, b_pos = _cells(b_pref, n_edges, dtype)
+    s_key = s_owner * n_schools + s_listed
+    b_key = b_listed * n_schools + b_owner
+    s_perm, b_perm = np.argsort(s_key), np.argsort(b_key)
+    if not np.array_equal(s_key[s_perm], b_key[b_perm]):
+        return None
+    s_srank = np.empty(n_edges, dtype)
+    s_srank[s_perm] = b_pos[b_perm]
+    b_rrank = np.empty(n_edges, dtype)
+    b_rrank[b_perm] = s_pos[s_perm]
+    return _split(s_srank.tolist(), s_pref), _split(b_rrank.tolist(), b_pref)
+
+
+def _adjacency_fault(students: Sequence[str], schools: Sequence[str],
+                     s_pref: list[list[int]], b_pref: list[list[int]]) -> None:
+    """Raise for the first cell whose edge the other side does not list.
+
+    Student rows are searched first, in order, then school rows.
+    """
+    for owners, others, rows, mirror in ((students, schools, s_pref, b_pref),
+                                         (schools, students, b_pref, s_pref)):
+        listers = [set(row) for row in mirror]
+        for k, row in enumerate(rows):
+            for x in row:
+                if k not in listers[x]:
+                    raise InvalidInstanceError(
+                        f"asymmetric adjacency: {owners[k]!r} ranks {others[x]!r} "
+                        "but not vice versa")
+    raise AssertionError("edge sets are equal")
+
+
 class Instance:
     """Immutable one-to-many market.
 
-    Construction validates all structural invariants in one index-level
-    pass.  Identifiers are opaque strings that the file format can write
-    back: non-empty, free of whitespace and of the characters ``#:[]``, and
+    Construction validates all structural invariants at index level: it
+    resolves and checks each row, then joins the two sides' cells into
+    cross ranks, which also checks that adjacency is symmetric.
+    Identifiers are opaque strings that the file format can write back:
+    non-empty, free of whitespace and of the characters ``#:[]``, and
     neither ``students`` nor ``schools``.  Internally agents are densely
     indexed and every preference cell carries the cross rank of the owner on
     the listed agent's list, so solver comparisons are plain integer
@@ -128,62 +243,20 @@ class Instance:
             if b not in b_index:
                 raise InvalidInstanceError(f"preference list for unknown school {b!r}")
 
-        # Each name row resolves to an index row; a repeat shows as a rank
-        # dict (or set) smaller than its row.
-        s_pref: list[list[int]] = []
-        for a in self._students:
-            names = student_prefs.get(a, ())
-            try:
-                row = [b_index[b] for b in names]
-            except KeyError:
-                row = None
-            if row is None or len(set(row)) != len(row):
-                _row_fault("student", a, names, b_index, "school")
-            s_pref.append(row)
-        b_pref: list[list[int]] = []
-        b_rank: list[dict[int, int]] = []
-        for b in self._schools:
-            names = school_prefs.get(b, ())
-            try:
-                row = [s_index[a] for a in names]
-            except KeyError:
-                row = None
-            rank = {} if row is None else dict(zip(row, range(len(row))))
-            if row is None or len(rank) != len(row):
-                _row_fault("school", b, names, s_index, "student")
-            b_pref.append(row)
-            b_rank.append(rank)
-
-        # Cross ranks: a student cell missing from the school's rank dict is
-        # asymmetric; the found ones are scattered into the school side.
-        # Distinct student cells fill distinct school cells, so equal edge
-        # counts mean every school cell was reached.
-        s_srank: list[list[int]] = []
-        b_rrank: list[list[int | None]] = [[None] * len(row) for row in b_pref]
-        for i, row in enumerate(s_pref):
-            try:
-                cranks = [b_rank[j][i] for j in row]
-            except KeyError:
-                j = next(j for j in row if i not in b_rank[j])
-                raise InvalidInstanceError(
-                    f"asymmetric adjacency: {self._students[i]!r} ranks "
-                    f"{self._schools[j]!r} but not vice versa") from None
-            for r, j in enumerate(row):
-                b_rrank[j][cranks[r]] = r
-            s_srank.append(cranks)
+        s_pref = _index_rows("student", self._students, student_prefs, b_index, "school")
+        b_pref = _index_rows("school", self._schools, school_prefs, s_index, "student")
         n_edges = sum(map(len, s_pref))
-        if sum(map(len, b_pref)) != n_edges:
-            j, cranks = next((j, row) for j, row in enumerate(b_rrank) if None in row)
-            raise InvalidInstanceError(
-                f"asymmetric adjacency: {self._schools[j]!r} ranks "
-                f"{self._students[b_pref[j][cranks.index(None)]]!r} but not vice versa")
+        joined = None
+        if sum(map(len, b_pref)) == n_edges:
+            joined = (_sort_join(s_pref, b_pref, len(b_index), n_edges)
+                      if n_edges >= _SORT_JOIN_MIN_EDGES else _dict_join(s_pref, b_pref))
+        if joined is None:
+            _adjacency_fault(self._students, self._schools, s_pref, b_pref)
 
         self._s_pref = s_pref
         self._b_pref = b_pref
-        self._s_srank = s_srank
-        self._b_rrank = b_rrank
+        self._s_srank, self._b_rrank = joined
         self._n_edges = n_edges
-        self.__dict__["_b_rank"] = b_rank  # the cached property's value
 
     @classmethod
     def _from_arrays(

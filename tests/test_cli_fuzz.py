@@ -1,8 +1,11 @@
-"""Malformed instance and consent files through ``cli.main``.
+"""Malformed instance, consent and matrix files through ``cli.main``.
 
 Each mutation below turns a valid file into an invalid one, so every run
 must fail as a domain error: exit code 1, nothing on stdout, and exactly one
 ``error:`` line on stderr (an uncaught exception fails the test).
+
+A mutation draws its choices through ``pick(seq)`` and ``between(lo, hi)``,
+which hypothesis or a seeded ``random.Random`` supplies.
 """
 
 import contextlib
@@ -12,31 +15,43 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from legalassign import Instance
+import pytest
+
+from legalassign import GenConfig, Instance, generate, model
 from legalassign.cli import main
 
 from _markets import random_market
 
 INSTANCE_MUTATIONS = ("drop_line", "dup_line", "drop_token", "dup_token",
-                      "stray", "bad_quota", "asymmetric")
+                      "stray", "bad_quota", "asymmetric", "swap")
 BAD_QUOTAS = ("0", "-1", "", "x", "1.5", "0x2", "2]", "[2")
+MATRIX_MUTATIONS = ("empty", "drop_line", "dup_line", "drop_token", "dup_token",
+                    "bad_token", "out_of_range", "repeat", "swap")
+BAD_TOKENS = ("x", "1.5", "0x2", "#", "-", "2]")
 
 
-def _mutated_instance(inst: Instance, data) -> str:
-    """The instance text with one mutation that makes it invalid.
+def _hypothesis_draws(data):
+    return (lambda seq: data.draw(st.sampled_from(list(seq))),
+            lambda lo, hi: data.draw(st.integers(lo, hi)))
+
+
+def _seeded_draws(rng: random.Random):
+    return (lambda seq: rng.choice(list(seq))), rng.randint
+
+
+def _mutated_instance(inst: Instance, kind: str, pick, between) -> str:
+    """The instance text with one mutation of the given kind.
 
     Line 0 is the header, lines 1 and 2 the rosters, and every later line
     a non-empty preference list, as ``Instance.to_text`` writes them.
     """
     lines = [line.split() for line in inst.to_text().splitlines()]
     prefs = range(3, len(lines))
-    pick = lambda seq: data.draw(st.sampled_from(list(seq)))
-    kind = pick(INSTANCE_MUTATIONS)
     if kind == "drop_line":
         del lines[pick(range(len(lines)))]
     elif kind == "dup_line":
         k = pick(range(len(lines)))
-        lines.insert(data.draw(st.integers(k + 1, len(lines))), list(lines[k]))
+        lines.insert(between(k + 1, len(lines)), list(lines[k]))
     elif kind == "drop_token":
         # any token of a preference line, or the roster entry of an agent
         # that has one (dropping an isolated agent would leave a valid file)
@@ -59,17 +74,55 @@ def _mutated_instance(inst: Instance, data) -> str:
         else:
             k, t = pick([(k, t) for k in (1, 2, *prefs) for t in range(1, len(lines[k]))])
             tok = lines[k][t]
-            i = data.draw(st.integers(0, len(tok)))
+            i = between(0, len(tok))
             lines[k][t] = tok[:i] + ch + tok[i:]
     elif kind == "bad_quota":
         t = pick(range(1, len(lines[2])))
         lines[2][t] = f"{lines[2][t].partition('[')[0]}[{pick(BAD_QUOTAS)}]"
-    else:  # asymmetric: a list names an agent that does not list its owner
-        k = pick(prefs)
-        owner, entries = lines[k][0][:-1], lines[k][1:]
+    else:  # a list names an agent that does not list its owner, appended
+        k = pick(prefs)  # or (swap) in place of an entry, so that the edge
+        owner, entries = lines[k][0][:-1], lines[k][1:]  # counts stay equal
         other = inst.schools if owner in inst.students else inst.students
         absent = [x for x in other if x not in entries]
-        lines[k].append(pick(absent) if absent else entries[0])
+        if not absent:  # a complete list: repeat an entry instead
+            lines[k].append(entries[0])
+        elif kind == "swap":
+            lines[k][pick(range(1, len(lines[k])))] = pick(absent)
+        else:
+            lines[k].append(pick(absent))
+    return "".join(" ".join(toks) + "\n" for toks in lines)
+
+
+def _latin_rows(rng: random.Random, n: int) -> list[list[int]]:
+    """A random Latin square: the cyclic one with rows, columns and ranks shuffled."""
+    rows, cols, ranks = (rng.sample(range(n), n) for _ in range(3))
+    return [[ranks[(rows[i] + cols[j]) % n] + 1 for j in range(n)] for i in range(n)]
+
+
+def _mutated_matrix(rows: list[list[int]], kind: str, pick, between) -> str:
+    """The matrix text of a Latin square of order >= 2, mutated to be invalid."""
+    n = len(rows)
+    lines = [[str(v) for v in row] for row in rows]
+    k, t = pick(range(n)), pick(range(n))
+    u = (t + between(1, n - 1)) % n  # another column of row k
+    if kind == "empty":
+        lines = []
+    elif kind == "drop_line":
+        del lines[k]
+    elif kind == "dup_line":
+        lines.insert(between(0, n), list(lines[k]))
+    elif kind == "drop_token":
+        del lines[k][t]
+    elif kind == "dup_token":
+        lines[k].insert(t, lines[k][t])
+    elif kind == "bad_token":
+        lines[k][t] = pick(BAD_TOKENS)
+    elif kind == "out_of_range":
+        lines[k][t] = pick(("0", "-1", str(n + 1)))
+    elif kind == "repeat":  # row k holds one rank twice
+        lines[k][t] = lines[k][u]
+    else:  # swap: two ranks of row k trade places, so both columns repeat one
+        lines[k][t], lines[k][u] = lines[k][u], lines[k][t]
     return "".join(" ".join(toks) + "\n" for toks in lines)
 
 
@@ -108,8 +161,10 @@ def test_malformed_files_fail_with_one_error_line(tmp_path_factory, seed, data):
     work = tmp_path_factory.getbasetemp()
     good_inst, bad_inst = work / "good.inst", work / "bad.inst"
     good_consent, bad_consent = work / "good.txt", work / "bad.txt"
+    pick, between = _hypothesis_draws(data)
     good_inst.write_text(inst.to_text(), encoding="utf-8")
-    bad_inst.write_text(_mutated_instance(inst, data), encoding="utf-8")
+    bad_inst.write_text(_mutated_instance(inst, pick(INSTANCE_MUTATIONS), pick, between),
+                        encoding="utf-8")
     good_consent.write_text(" ".join(consenting) + "\n", encoding="utf-8")
     bad_consent.write_text(_mutated_consent(inst, consenting, data), encoding="utf-8")
 
@@ -119,3 +174,36 @@ def test_malformed_files_fail_with_one_error_line(tmp_path_factory, seed, data):
                     "--consent", str(good_consent)])
     _fails_cleanly(["solve", "--mechanism", "eadam-fast", "--input", str(good_inst),
                     "--consent", str(bad_consent)])
+    for what in ("legal", "stable", "verify"):
+        _fails_cleanly(["oracle", what, "--input", str(bad_inst), "--cap", "8"])
+
+
+@given(st.integers(0, 10 ** 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_malformed_matrices_fail_with_one_error_line(tmp_path_factory, seed, data):
+    rng = random.Random(seed)
+    rows = _latin_rows(rng, rng.randint(2, 6))
+    pick, between = _hypothesis_draws(data)
+    bad = tmp_path_factory.getbasetemp() / "bad.matrix"
+    bad.write_text(_mutated_matrix(rows, pick(MATRIX_MUTATIONS), pick, between),
+                   encoding="utf-8")
+    _fails_cleanly(["latin", "aux", "--input", str(bad)])
+    _fails_cleanly(["latin", "count", "--input", str(bad), "--cap", "8"])
+
+
+# Above the cutoff from which the constructor joins cross ranks by sorting.
+LARGE_MARKETS = {"complete": GenConfig(40, 40, quota_lo=1, quota_hi=3, seed=11),
+                 "top-6": GenConfig(150, 15, quota_model="nyc", list_length=6, seed=12)}
+
+
+@pytest.mark.parametrize("name", LARGE_MARKETS)
+def test_large_malformed_files_fail_with_one_error_line(tmp_path, name):
+    cfg = LARGE_MARKETS[name]
+    inst = generate(cfg)
+    assert inst.n_edges >= model._SORT_JOIN_MIN_EDGES
+    pick, between = _seeded_draws(random.Random(cfg.seed))
+    for kind in INSTANCE_MUTATIONS:
+        bad = tmp_path / f"{kind}.inst"
+        bad.write_text(_mutated_instance(inst, kind, pick, between), encoding="utf-8")
+        _fails_cleanly(["validate", "--input", str(bad)])
+        _fails_cleanly(["solve", "--mechanism", "gs", "--input", str(bad)])

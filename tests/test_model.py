@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from legalassign import (Assignment, GenConfig, Instance, InvalidInstanceError,
                          ParseError, blocking_pairs, blocks, dominates, generate,
                          gs_student, is_blocking_pair, is_stable, parse_instance,
                          reduce_one_to_one)
+from legalassign import model
 
 from _markets import random_market
 
@@ -317,3 +319,203 @@ def test_blocking_pairs_with_quotas_near_100():
         assert expected
         assert list(blocking_pairs(inst, m)) == expected
         assert not is_stable(inst, m)
+
+
+# -- the two cross-rank joins -------------------------------------------------
+
+SORT, DICT = 0, math.inf  # cutoffs that force the sort join and the dict join
+
+# Above the default cutoff: complete lists with quotas, and top-5 lists.
+LARGE = {"complete": GenConfig(40, 40, quota_lo=1, quota_hi=3, seed=3),
+         "top-5": GenConfig(200, 20, quota_model="nyc", list_length=5, seed=4)}
+
+
+def _args(inst: Instance) -> tuple:
+    """Constructor arguments that rebuild ``inst``."""
+    return (inst.students, inst.schools, dict(inst.quota),
+            {a: list(row) for a, row in inst.student_prefs.items()},
+            {b: list(row) for b, row in inst.school_prefs.items()})
+
+
+def _tables(inst: Instance) -> tuple:
+    return inst._s_pref, inst._b_pref, inst._s_srank, inst._b_rrank
+
+
+def _build(args: tuple, cutoff: float) -> Instance:
+    with mock.patch.object(model, "_SORT_JOIN_MIN_EDGES", cutoff):
+        return Instance(*args)
+
+
+def _spy(seen: list):
+    """Patch the sort join to record what each call returns in ``seen``."""
+    join = model._sort_join
+
+    def record(*args):
+        seen.append(join(*args))
+        return seen[-1]
+    return mock.patch.object(model, "_sort_join", record)
+
+
+def _assert_cross_ranks(inst: Instance) -> None:
+    """Each cell's cross rank points at the same edge on the other side."""
+    for i, (row, cranks) in enumerate(zip(inst._s_pref, inst._s_srank)):
+        for r, (j, c) in enumerate(zip(row, cranks)):
+            assert inst._b_pref[j][c] == i and inst._b_rrank[j][c] == r
+
+
+@given(valid_instances())
+@settings(max_examples=150, deadline=None)
+def test_both_joins_give_the_same_instance(inst):
+    args = _args(inst)
+    by_sort, by_dict = _build(args, SORT), _build(args, DICT)
+    assert by_sort == by_dict == inst
+    assert _tables(by_sort) == _tables(by_dict) == _tables(inst)
+    _assert_cross_ranks(by_sort)
+    assert (model._sort_join(inst._s_pref, inst._b_pref, inst.n_schools, inst.n_edges)
+            == model._dict_join(inst._s_pref, inst._b_pref))
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_both_joins_agree_on_random_markets(seed):
+    inst = random_market(random.Random(seed), max_students=12, max_schools=5, max_quota=4)
+    by_sort = _build(_args(inst), SORT)
+    assert by_sort == inst and _tables(by_sort) == _tables(inst)
+
+
+@pytest.mark.parametrize("args", [
+    ([], [], {}, {}, {}),
+    ([], ["c", "d"], {"d": 3}, {}, {}),
+    (["a", "e"], [], {}, {"a": []}, {}),
+    (["a", "e"], ["c"], {}, {"a": [], "e": []}, {"c": []}),
+], ids=["empty", "no-students", "no-schools", "no-edges"])
+def test_both_joins_accept_markets_without_edges(args):
+    by_sort, by_dict = _build(args, SORT), _build(args, DICT)
+    assert by_sort == by_dict and _tables(by_sort) == _tables(by_dict)
+    assert by_sort.n_edges == 0
+
+
+@pytest.mark.parametrize("name", LARGE)
+def test_sort_join_above_the_cutoff(name):
+    gen = generate(LARGE[name])  # built from index arrays, with benchgen's own ranks
+    assert gen.n_edges >= model._SORT_JOIN_MIN_EDGES
+    seen = []
+    with _spy(seen):
+        inst = Instance(*_args(gen))
+    assert len(seen) == 1
+    assert inst == gen and _tables(inst) == _tables(gen)
+    assert _tables(_build(_args(gen), DICT)) == _tables(inst)
+    _assert_cross_ranks(inst)
+    assert parse_instance(inst.to_text()) == inst
+
+
+def test_sort_join_widens_keys_past_int32():
+    inst = generate(LARGE["top-5"])
+    # with 2**31 schools, student * n_schools + school overflows int32
+    assert (model._sort_join(inst._s_pref, inst._b_pref, 2 ** 31, inst.n_edges)
+            == model._dict_join(inst._s_pref, inst._b_pref))
+
+
+def _fault_cases():
+    """Faults of the top-5 market, one per function.
+
+    Each function edits the name lists in place and returns the message the
+    constructor must raise.  Students a7 < a150 and schools b4 < b15 in
+    roster order.
+    """
+    inst = generate(LARGE["top-5"])
+    S, B = inst.students, inst.schools
+
+    def not_on(row, pool):
+        return next(x for x in pool if x not in row)
+
+    def unknown_school(sp, bp):
+        sp["a7"].insert(2, "zz")
+        return "student 'a7' ranks unknown school 'zz'"
+
+    def unknown_student(sp, bp):
+        bp["b4"].insert(1, "zz")
+        return "school 'b4' ranks unknown student 'zz'"
+
+    def repeated_school(sp, bp):
+        sp["a7"].append(sp["a7"][1])
+        return f"student 'a7' ranks school {sp['a7'][1]!r} twice"
+
+    def repeated_student(sp, bp):
+        bp["b4"].append(bp["b4"][0])
+        return f"school 'b4' ranks student {bp['b4'][0]!r} twice"
+
+    def student_extra(sp, bp):  # a student cell without its school cell
+        b = not_on(sp["a7"], B)
+        sp["a7"].insert(1, b)
+        return f"asymmetric adjacency: 'a7' ranks {b!r} but not vice versa"
+
+    def school_extra(sp, bp):  # a school cell without its student cell
+        a = not_on(bp["b4"], S)
+        bp["b4"].insert(3, a)
+        return f"asymmetric adjacency: 'b4' ranks {a!r} but not vice versa"
+
+    def student_swap(sp, bp):  # equal counts: a7 swaps a school for one that
+        new = sp["a7"][2] = not_on(sp["a7"], B)  # does not list it
+        return f"asymmetric adjacency: 'a7' ranks {new!r} but not vice versa"
+
+    def school_swap(sp, bp):  # equal counts: the dropped student's own cell
+        old = bp["b4"][3]      # is the first fault, as student rows come first
+        bp["b4"][3] = not_on(bp["b4"], S)
+        return f"asymmetric adjacency: {old!r} ranks 'b4' but not vice versa"
+
+    def student_order(sp, bp):  # faults in a150, then a7, then b4
+        bp["b4"].insert(0, not_on(bp["b4"], S))
+        b150 = not_on(sp["a150"], B)
+        sp["a150"].append(b150)
+        b7 = not_on(sp["a7"], B)
+        sp["a7"].append(b7)
+        return f"asymmetric adjacency: 'a7' ranks {b7!r} but not vice versa"
+
+    def school_order(sp, bp):  # b15 then b4 rank extra students
+        a15 = not_on(bp["b15"], S)
+        bp["b15"].insert(0, a15)
+        a4 = not_on(bp["b4"], S)
+        bp["b4"].append(a4)
+        return f"asymmetric adjacency: 'b4' ranks {a4!r} but not vice versa"
+
+    def row_order(sp, bp):  # student rows are checked before school rows
+        bp["b4"].append(bp["b4"][0])
+        sp["a150"].append("zz")
+        return "student 'a150' ranks unknown school 'zz'"
+
+    return [unknown_school, unknown_student, repeated_school, repeated_student,
+            student_extra, school_extra, student_swap, school_swap,
+            student_order, school_order, row_order]
+
+
+@pytest.mark.parametrize("fault", _fault_cases(), ids=lambda f: f.__name__)
+def test_validation_messages_above_the_cutoff(fault):
+    students, schools, quota, sp, bp = _args(generate(LARGE["top-5"]))
+    assert sum(map(len, sp.values())) >= model._SORT_JOIN_MIN_EDGES
+    message = fault(sp, bp)
+    for cutoff in (model._SORT_JOIN_MIN_EDGES, DICT):
+        with pytest.raises(InvalidInstanceError) as err:
+            _build((students, schools, quota, sp, bp), cutoff)
+        assert str(err.value) == message
+
+
+def test_equal_edge_counts_reach_the_sort_join():
+    students, schools, quota, sp, bp = _args(generate(LARGE["top-5"]))
+    sp["a7"][2] = next(b for b in schools if b not in sp["a7"])
+    seen = []
+    with _spy(seen), pytest.raises(InvalidInstanceError, match="asymmetric adjacency: 'a7'"):
+        Instance(students, schools, quota, sp, bp)
+    assert seen == [None]
+
+
+@pytest.mark.parametrize("name", LARGE)
+def test_school_ranks_are_built_on_first_use(name):
+    inst = parse_instance(generate(LARGE[name]).to_text())
+    assert inst.n_edges >= model._SORT_JOIN_MIN_EDGES
+    assert "_b_rank" not in inst.__dict__
+    b4 = inst.schools[4]
+    assert inst.school_rank(b4, inst.school_prefs[b4][2]) == 2
+    assert "_b_rank" in inst.__dict__
+    assert all(inst.school_rank(b, a) == r
+               for b, row in inst.school_prefs.items() for r, a in enumerate(row))
