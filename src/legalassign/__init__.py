@@ -6,7 +6,7 @@ Entry points by module:
   model          instances, assignments, blocking pairs, the seat reduction
   gs             deferred acceptance (event-driven and round-traced), and
                  `Counters`, the operation counts every solver result carries
-  rotations      exposed rotations, rotation digraphs, elimination, sigma
+  rotations      `Rotation`, and sigma between the two sides' rotations
   engine         the linear-time path-following walks, `all_rotations`
   rotate_remove  the legal optima and the legal subinstance
   eadam          priority waiving with consent, three equivalent mechanisms
@@ -41,9 +41,7 @@ from .oracle import (OracleCapError, blocking_digraph, enumerate_assignments,
 from .rotate_remove import (LegalSubinstanceReport, legal_subinstance,
                             rotate_remove, school_optimal_legal, stable_edges,
                             student_optimal_legal)
-from .rotations import (Rotation, RotationDigraph, build_rotation_digraph,
-                        eliminate, exposed_rotations, next_agent, sigma,
-                        sigma_inverse, successor)
+from .rotations import Rotation, sigma, sigma_inverse
 
 __version__ = "0.1.0"
 

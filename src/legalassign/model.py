@@ -52,38 +52,14 @@ def _check_side(side: str) -> None:
 _IDENTIFIER = re.compile(r"[^\s#:\[\]]+")
 
 
-def _row_fault(kind: str, owner: str, names: Sequence[str],
-               index: Mapping[str, int], listed: str) -> None:
-    """Raise for the first unknown or repeated name of a row known to hold one."""
-    seen = set()
-    for x in names:
-        k = index.get(x)
-        if k is None:
-            raise InvalidInstanceError(f"{kind} {owner!r} ranks unknown {listed} {x!r}")
-        if k in seen:
-            raise InvalidInstanceError(f"{kind} {owner!r} ranks {listed} {x!r} twice")
-        seen.add(k)
-    raise AssertionError("row has no fault")
-
-
-def _index_rows(kind: str, owners: Sequence[str], prefs: Mapping[str, Sequence[str]],
-                index: Mapping[str, int], listed: str) -> list[list[int]]:
-    """Each owner's name row as an index row; raises for the first faulty row.
-
-    A name missing from ``index`` fails the lookup, and a repeat shows as a
-    set smaller than its row.
-    """
-    rows = []
-    for x in owners:
-        names = prefs.get(x, ())
-        try:
-            row = [index[y] for y in names]
-        except KeyError:
-            row = None
-        if row is None or len(set(row)) != len(row):
-            _row_fault(kind, x, names, index, listed)
-        rows.append(row)
-    return rows
+def _index_rows(owners: Sequence[str], prefs: Mapping[str, Sequence[str]],
+                index: Mapping[str, int]) -> list[list[int]] | None:
+    """Each owner's name row as an index row; None once a name is unknown."""
+    get = index.__getitem__
+    try:
+        return [list(map(get, prefs.get(x, ()))) for x in owners]
+    except KeyError:
+        return None
 
 
 #: Edge count from which `Instance` joins the cross ranks by sorting.  Below
@@ -93,11 +69,14 @@ _SORT_JOIN_MIN_EDGES = 512
 
 
 def _dict_join(s_pref: list[list[int]], b_pref: list[list[int]]):
-    """Cross ranks through one rank dict per school, or None on an asymmetry.
+    """Cross ranks through one rank dict per school, or None on a repeat or
+    an asymmetry.
 
-    The two sides hold equally many cells.  Distinct student cells fill
-    distinct school cells, so once every student cell is found, every
-    school cell has been reached.
+    The two sides hold equally many cells, and each student cell that its
+    school lists fills one school cell.  The join holds exactly when every
+    school cell is filled: a repeated school leaves its first cell unfilled,
+    and a repeated student fills one cell twice and so leaves another one
+    unfilled.
     """
     b_rank = [dict(zip(row, range(len(row)))) for row in b_pref]
     s_srank = []
@@ -110,6 +89,8 @@ def _dict_join(s_pref: list[list[int]], b_pref: list[list[int]]):
         for r, j in enumerate(row):
             b_rrank[j][cranks[r]] = r
         s_srank.append(cranks)
+    if any(None in row for row in b_rrank):
+        return None
     return s_srank, b_rrank
 
 
@@ -135,13 +116,15 @@ def _split(flat: list[int], rows: list[list[int]]) -> list[list[int]]:
 
 def _sort_join(s_pref: list[list[int]], b_pref: list[list[int]],
                n_schools: int, n_edges: int):
-    """Cross ranks by one sort of each side's cells, or None on an asymmetry.
+    """Cross ranks by one sort of each side's cells, or None on a repeat or
+    an asymmetry.
 
-    Every cell is keyed by ``student * n_schools + school``.  No row repeats
-    an agent, so each side's keys are distinct, and the two sides hold the
-    same edges exactly when their sorted keys are equal.  The k-th sorted
-    student cell and the k-th sorted school cell are then the same edge, so
-    each takes the other's in-row position as its cross rank.
+    Every cell is keyed by ``student * n_schools + school``, and both sides
+    hold ``n_edges`` cells.  A row repeats an agent exactly when two equal
+    keys sit next to each other once sorted.  With no repeat, the two sides
+    hold the same edges exactly when their sorted keys are equal.  The k-th
+    sorted student cell and the k-th sorted school cell are then the same
+    edge, so each takes the other's in-row position as its cross rank.
     """
     dtype = np.int32 if len(s_pref) * n_schools < 2 ** 31 else np.int64
     s_owner, s_listed, s_pos = _cells(s_pref, n_edges, dtype)
@@ -149,7 +132,8 @@ def _sort_join(s_pref: list[list[int]], b_pref: list[list[int]],
     s_key = s_owner * n_schools + s_listed
     b_key = b_listed * n_schools + b_owner
     s_perm, b_perm = np.argsort(s_key), np.argsort(b_key)
-    if not np.array_equal(s_key[s_perm], b_key[b_perm]):
+    keys = s_key[s_perm]
+    if not np.array_equal(keys, b_key[b_perm]) or (keys[1:] == keys[:-1]).any():
         return None
     s_srank = np.empty(n_edges, dtype)
     s_srank[s_perm] = b_pos[b_perm]
@@ -158,30 +142,14 @@ def _sort_join(s_pref: list[list[int]], b_pref: list[list[int]],
     return _split(s_srank.tolist(), s_pref), _split(b_rrank.tolist(), b_pref)
 
 
-def _adjacency_fault(students: Sequence[str], schools: Sequence[str],
-                     s_pref: list[list[int]], b_pref: list[list[int]]) -> None:
-    """Raise for the first cell whose edge the other side does not list.
-
-    Student rows are searched first, in order, then school rows.
-    """
-    for owners, others, rows, mirror in ((students, schools, s_pref, b_pref),
-                                         (schools, students, b_pref, s_pref)):
-        listers = [set(row) for row in mirror]
-        for k, row in enumerate(rows):
-            for x in row:
-                if k not in listers[x]:
-                    raise InvalidInstanceError(
-                        f"asymmetric adjacency: {owners[k]!r} ranks {others[x]!r} "
-                        "but not vice versa")
-    raise AssertionError("edge sets are equal")
-
-
 class Instance:
     """Immutable one-to-many market.
 
     Construction validates all structural invariants at index level: it
-    resolves and checks each row, then joins the two sides' cells into
-    cross ranks, which also checks that adjacency is symmetric.
+    checks the rosters and quotas, resolves each row to agent indices, then
+    joins the two sides' cells into cross ranks, which also finds a
+    repeated agent and checks that adjacency is symmetric.  On a fault, one
+    ordered search over the name lists raises the first one.
     Identifiers are opaque strings that the file format can write back:
     non-empty, free of whitespace and of the characters ``#:[]``, and
     neither ``students`` nor ``schools``.  Internally agents are densely
@@ -204,10 +172,29 @@ class Instance:
         student_prefs: Mapping[str, Sequence[str]],
         school_prefs: Mapping[str, Sequence[str]],
     ):
+        self._set_rosters(students, schools)
+        self._check_rosters(quota)
+        for a in student_prefs:
+            if a not in self._s_index:
+                raise InvalidInstanceError(f"preference list for unknown student {a!r}")
+        for b in school_prefs:
+            if b not in self._b_index:
+                raise InvalidInstanceError(f"preference list for unknown school {b!r}")
+        s_pref = _index_rows(self._students, student_prefs, self._b_index)
+        b_pref = _index_rows(self._schools, school_prefs, self._s_index)
+        if s_pref is None or b_pref is None or not self._set_rows(s_pref, b_pref):
+            self._raise_first_fault(student_prefs, school_prefs)
+
+    def _set_rosters(self, students: Sequence[str], schools: Sequence[str]) -> None:
+        """Store the rosters and their indices, unchecked."""
         self._students = tuple(students)
         self._schools = tuple(schools)
-        s_index = {a: i for i, a in enumerate(self._students)}
-        b_index = {b: i for i, b in enumerate(self._schools)}
+        self._s_index = {a: i for i, a in enumerate(self._students)}
+        self._b_index = {b: i for i, b in enumerate(self._schools)}
+
+    def _check_rosters(self, quota: Mapping[str, int]) -> None:
+        """Check the stored rosters, then check and store the quotas."""
+        s_index, b_index = self._s_index, self._b_index
         if len(s_index) != len(self._students):
             raise InvalidInstanceError("duplicate student identifier")
         if len(b_index) != len(self._schools):
@@ -222,8 +209,6 @@ class Instance:
                         f"{kind} identifier {x!r} is not valid; identifiers are non-empty, "
                         "contain no whitespace and none of '#:[]', and are not "
                         f"{STUDENTS!r} or {SCHOOLS!r}")
-        self._s_index = s_index
-        self._b_index = b_index
 
         quotas = []
         for b in self._schools:
@@ -236,27 +221,59 @@ class Instance:
                 raise InvalidInstanceError(f"quota given for unknown school {b!r}")
         self._quota = tuple(quotas)
 
-        for a in student_prefs:
-            if a not in s_index:
-                raise InvalidInstanceError(f"preference list for unknown student {a!r}")
-        for b in school_prefs:
-            if b not in b_index:
-                raise InvalidInstanceError(f"preference list for unknown school {b!r}")
-
-        s_pref = _index_rows("student", self._students, student_prefs, b_index, "school")
-        b_pref = _index_rows("school", self._schools, school_prefs, s_index, "student")
+    def _set_rows(self, s_pref: list[list[int]], b_pref: list[list[int]]) -> bool:
+        """Join the index rows into cross ranks and store them; False on a
+        repeat or an asymmetry, which leaves the rows unstored."""
         n_edges = sum(map(len, s_pref))
-        joined = None
-        if sum(map(len, b_pref)) == n_edges:
-            joined = (_sort_join(s_pref, b_pref, len(b_index), n_edges)
-                      if n_edges >= _SORT_JOIN_MIN_EDGES else _dict_join(s_pref, b_pref))
+        if sum(map(len, b_pref)) != n_edges:
+            return False
+        joined = (_sort_join(s_pref, b_pref, len(self._schools), n_edges)
+                  if n_edges >= _SORT_JOIN_MIN_EDGES else _dict_join(s_pref, b_pref))
         if joined is None:
-            _adjacency_fault(self._students, self._schools, s_pref, b_pref)
-
+            return False
         self._s_pref = s_pref
         self._b_pref = b_pref
         self._s_srank, self._b_rrank = joined
         self._n_edges = n_edges
+        return True
+
+    def _raise_first_fault(self, student_prefs: Mapping[str, Sequence[str]],
+                           school_prefs: Mapping[str, Sequence[str]]) -> None:
+        """Raise for the first fault of rows that ``_set_rows`` refused.
+
+        Student rows are searched in roster order, then school rows: the
+        first unknown or repeated name of the first such row.  Then the
+        first student cell whose school does not list it, then the first
+        such school cell.
+        """
+        sides = (("student", self._students, student_prefs, self._b_index, "school"),
+                 ("school", self._schools, school_prefs, self._s_index, "student"))
+        rows = []
+        for kind, owners, prefs, index, listed in sides:
+            side = []
+            for x in owners:
+                row, seen = [], set()
+                for y in prefs.get(x, ()):
+                    k = index.get(y)
+                    if k is None:
+                        raise InvalidInstanceError(f"{kind} {x!r} ranks unknown {listed} {y!r}")
+                    if k in seen:
+                        raise InvalidInstanceError(f"{kind} {x!r} ranks {listed} {y!r} twice")
+                    seen.add(k)
+                    row.append(k)
+                side.append(row)
+            rows.append(side)
+        s_pref, b_pref = rows
+        for owners, others, own, mirror in ((self._students, self._schools, s_pref, b_pref),
+                                            (self._schools, self._students, b_pref, s_pref)):
+            listers = [set(row) for row in mirror]
+            for k, row in enumerate(own):
+                for x in row:
+                    if k not in listers[x]:
+                        raise InvalidInstanceError(
+                            f"asymmetric adjacency: {owners[k]!r} ranks {others[x]!r} "
+                            "but not vice versa")
+        raise AssertionError("rows have no fault")
 
     @classmethod
     def _from_arrays(
@@ -548,6 +565,14 @@ def dominates(inst: Instance, m1: Assignment, m2: Assignment) -> bool:
 
 # -- instance file format ----------------------------------------------------
 
+def _named(owners: Sequence[str], others: Sequence[str], rows: list[list],
+           unresolved: set[str]) -> dict[str, list[str]]:
+    """The name lists of parsed rows; the row of an owner in ``unresolved``
+    kept its names."""
+    return {x: row if x in unresolved else [others[i] for i in row]
+            for x, row in zip(owners, rows)}
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the `instance v1` text format.
 
@@ -555,14 +580,23 @@ def parse_instance(text: str) -> Instance:
     `students:` and `schools:` rosters (quotas as `b[q]`, default 1), then one
     preference line per agent, most preferred first.  Agents without a line
     have an empty list.
+
+    Each preference line is resolved to agent indices as it is split, and
+    the index rows go to the same checks and join as in `Instance`.  A line
+    with an unknown name keeps its names; on any fault the rows are named
+    again, so the constructor's fault search raises its first fault.
     """
     students: list[str] | None = None
     schools: list[str] | None = None
-    student_set: set[str] | None = None
-    school_set: set[str] | None = None
     quota: dict[str, int] = {}
-    s_prefs: dict[str, list[str]] = {}
-    b_prefs: dict[str, list[str]] = {}
+    inst = Instance.__new__(Instance)
+    s_index: dict[str, int] | None = None  # set at the first preference line
+    b_index: dict[str, int] = {}
+    # per agent: its index row, or its name row if it names an unknown
+    # agent (the owner is then in ``unresolved``), or None without a line
+    s_rows: list[list | None] = []
+    b_rows: list[list | None] = []
+    unresolved: set[str] = set()
     header_seen = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -578,7 +612,6 @@ def parse_instance(text: str) -> Instance:
             if students is not None:
                 raise ParseError("duplicate students: line", lineno)
             students = line[len("students:"):].split()
-            student_set = set(students)
             continue
         if line.startswith("schools:"):
             if schools is not None:
@@ -598,23 +631,32 @@ def parse_instance(text: str) -> Instance:
                     quota[name] = q
                 else:
                     schools.append(tok)
-            school_set = set(schools)
             continue
         if ":" not in line:
             raise ParseError(f"cannot parse {line!r}", lineno)
         name, _, rest = line.partition(":")
         name = name.strip()
-        entries = rest.split()
-        if student_set is None or school_set is None:
-            raise ParseError("preference line before students:/schools: rosters", lineno)
-        if name in s_prefs or name in b_prefs:
-            raise ParseError(f"duplicate preference line for {name!r}", lineno)
-        if name in student_set:
-            s_prefs[name] = entries
-        elif name in school_set:
-            b_prefs[name] = entries
+        if s_index is None:
+            if students is None or schools is None:
+                raise ParseError("preference line before students:/schools: rosters", lineno)
+            inst._set_rosters(students, schools)
+            s_index, b_index = inst._s_index, inst._b_index
+            s_rows = [None] * len(students)
+            b_rows = [None] * len(schools)
+        k = s_index.get(name)
+        if k is not None:
+            rows, index = s_rows, b_index
+        elif (k := b_index.get(name)) is not None:
+            rows, index = b_rows, s_index
         else:
             raise ParseError(f"unknown identifier {name!r}", lineno)
+        if rows[k] is not None:
+            raise ParseError(f"duplicate preference line for {name!r}", lineno)
+        try:
+            rows[k] = list(map(index.__getitem__, rest.split()))
+        except KeyError:
+            rows[k] = rest.split()
+            unresolved.add(name)
 
     if not header_seen:
         raise ParseError("missing header 'instance v1'", 1)
@@ -622,10 +664,19 @@ def parse_instance(text: str) -> Instance:
         raise ParseError("missing students: line")
     if schools is None:
         raise ParseError("missing schools: line")
+    if s_index is None:
+        inst._set_rosters(students, schools)
+        s_rows, b_rows = [None] * len(students), [None] * len(schools)
     try:
-        return Instance(students, schools, quota, s_prefs, b_prefs)
+        inst._check_rosters(quota)
+        s_pref = [[] if row is None else row for row in s_rows]
+        b_pref = [[] if row is None else row for row in b_rows]
+        if unresolved or not inst._set_rows(s_pref, b_pref):
+            inst._raise_first_fault(_named(students, schools, s_pref, unresolved),
+                                    _named(schools, students, b_pref, unresolved))
     except InvalidInstanceError as e:
         raise ParseError(str(e)) from e
+    return inst
 
 
 # -- one-to-one reduction ----------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, compress, repeat
 from operator import or_
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .eadam import ConsentSet, _consent_flags
 from .model import Assignment, Instance, dominates
@@ -36,36 +36,45 @@ def enumerate_assignments(inst: Instance, cap: int = DEFAULT_CAP) -> list[Assign
 
     Backtracks over students in instance order; each student tries his
     schools in preference order, then None.  Raises OracleCapError once more
-    than ``cap`` assignments have been produced.
+    than ``cap`` assignments have been produced.  The backtracking keeps one
+    iterator over each placed student's remaining options on a stack, so
+    the depth of a market is not bounded by Python's recursion limit.
     """
     students = inst.students
+    n = len(students)
     options = [list(inst.student_prefs[a]) + [None] for a in students]
     free = {b: inst.quota_of(b) for b in inst.schools}
     out: list[Assignment] = []
     match: dict[str, str | None] = {}
-
-    def rec(i: int) -> None:
-        if i == len(students):
+    stack: list[Iterator[str | None]] = []
+    while True:
+        if len(stack) < n:
+            stack.append(iter(options[len(stack)]))
+        else:
             if len(out) >= cap:
                 raise OracleCapError(
                     f"assignment enumeration exceeds cap={cap} "
                     f"(upper bound {_size_estimate(inst)})")
             out.append(Assignment(match))
-            return
-        a = students[i]
-        for b in options[i]:
-            if b is None:
-                match[a] = None
-                rec(i + 1)
-            elif free[b] > 0:
-                free[b] -= 1
-                match[a] = b
-                rec(i + 1)
+        # move the deepest student that has an option left to that option
+        while stack:
+            a = students[len(stack) - 1]
+            b = match.get(a)
+            if b is not None:
                 free[b] += 1
-        del match[a]
-
-    rec(0)
-    return out
+            for b in stack[-1]:
+                if b is None or free[b] > 0:
+                    break
+            else:
+                stack.pop()
+                match[a] = None
+                continue
+            if b is not None:
+                free[b] -= 1
+            match[a] = b
+            break
+        else:
+            return out
 
 
 def is_maximal(inst: Instance, m: Assignment) -> bool:

@@ -1,9 +1,12 @@
 """References the fast, index-level code is tested against.
 
-The digraph-rebuilding ones rebuild the rotation digraph from scratch at
-every step, so they are slow and only meant for small markets.  The
-legal-subinstance one assembles the report from named edges.  The oracle
-ones test every edge against every assignment through string dicts.
+The string-level rotation digraph finds successors, exposed rotations and
+eliminations through named agents.  The digraph-rebuilding references
+rebuild that digraph from scratch at every step, so they are slow and only
+meant for small markets.  The legal-subinstance one assembles the report
+from named edges.  The oracle ones test every edge against every
+assignment through string dicts.  The parser keeps every row as names and
+leaves all checks to the name-level constructor.
 """
 
 from __future__ import annotations
@@ -13,15 +16,161 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import not_
 
-from legalassign import (Assignment, ConsentSet, Counters, Instance, dominates,
-                         gs_school, gs_student)
+from legalassign import (Assignment, ConsentSet, Counters, Instance,
+                         InvalidInstanceError, ParseError, UnstableAssignmentError,
+                         dominates, gs_school, gs_student)
 from legalassign.eadam import _consent_flags
 from legalassign.engine import ENUMERATE, school_side_run, student_side_run
 from legalassign.model import SCHOOLS, STUDENTS, _check_side
 from legalassign.oracle import _violated_priority, enumerate_assignments
-from legalassign.rotations import (Rotation, _cycle_to_rotation,
-                                   build_rotation_digraph, eliminate,
-                                   exposed_rotations, sigma_inverse)
+from legalassign.rotations import Rotation, sigma_inverse
+
+
+# -- the string-level rotation digraph ----------------------------------------
+
+def _matched_set(m: Assignment, x: str, side: str) -> frozenset[str]:
+    if side == STUDENTS:
+        b = m.school_of(x)
+        return frozenset() if b is None else frozenset((b,))
+    return m.students_of(x)
+
+
+def _accepts(inst: Instance, m: Assignment, y: str, x: str, y_side: str) -> bool:
+    """Would y take x?  True when y has a free seat or likes x better than
+    some current partner."""
+    if y_side == SCHOOLS:
+        held = m.students_of(y)
+        if len(held) < inst.quota[y]:
+            return True
+        r = inst.school_rank(y, x)
+        return any(inst.school_rank(y, a) > r for a in held)
+    b = m.school_of(y)
+    return b is None or inst.student_rank(y, x) < inst.student_rank(y, b)
+
+
+def successor(inst: Instance, m: Assignment, x: str, side: str) -> str | None:
+    """s_M(x): first y not in M(x) on x's list that would take x.
+
+    Raises UnstableAssignmentError when the found y also improves x, since
+    that means xy is a blocking pair and M was not stable to begin with.
+    """
+    _check_side(side)
+    own = _matched_set(m, x, side)
+    if side == STUDENTS:
+        mine = m.school_of(x)
+        my_rank = inst.student_rank(x, mine) if mine is not None else None
+        for r, b in enumerate(inst.student_prefs[x]):
+            if b in own:
+                continue
+            if _accepts(inst, m, b, x, SCHOOLS):
+                if my_rank is None or r < my_rank:
+                    raise UnstableAssignmentError(x, b)
+                return b
+        return None
+    worst = max((inst.school_rank(x, a) for a in own), default=None)
+    free = len(own) < inst.quota[x]
+    for r, a in enumerate(inst.school_prefs[x]):
+        if a in own:
+            continue
+        if _accepts(inst, m, a, x, STUDENTS):
+            if free or (worst is not None and r < worst):
+                raise UnstableAssignmentError(a, x)
+            return a
+    return None
+
+
+def next_agent(inst: Instance, m: Assignment, x: str, side: str) -> str | None:
+    """Least preferred current partner of s_M(x); None when that agent
+    still has a free seat."""
+    y = successor(inst, m, x, side)
+    if y is None:
+        raise ValueError(f"{x} has no successor")
+    if side == STUDENTS:
+        held = m.students_of(y)
+        if len(held) < inst.quota[y]:
+            return None
+        return max(held, key=lambda a: inst.school_rank(y, a))
+    return m.school_of(y)  # a student's single seat; None if unmatched
+
+
+@dataclass(frozen=True)
+class RotationDigraph:
+    """Arcs x -> s_M(x) and s_M(x) -> next_M(x); out-degree <= 1 per node.
+    A value of None is the shared empty sink."""
+    side: str
+    arcs: dict[str, str | None]
+
+    def sinks(self) -> set[str]:
+        heads = {v for v in self.arcs.values() if v is not None}
+        return {v for v in heads if v not in self.arcs}
+
+    def cycles(self) -> list[list[str]]:
+        """Node cycles in first-touch order, each starting at an X-agent."""
+        state: dict[str, int] = {}  # 1 = on current walk, 2 = done
+        out: list[list[str]] = []
+        for start in self.arcs:
+            if state.get(start):
+                continue
+            walk: list[str] = []
+            node: str | None = start
+            while node is not None and node in self.arcs and not state.get(node):
+                state[node] = 1
+                walk.append(node)
+                node = self.arcs[node]
+            if node is not None and state.get(node) == 1:
+                out.append(walk[walk.index(node):])
+            for v in walk:
+                state[v] = 2
+        return out
+
+
+def build_rotation_digraph(inst: Instance, m: Assignment, side: str) -> RotationDigraph:
+    _check_side(side)
+    xs = inst.students if side == STUDENTS else inst.schools
+    arcs: dict[str, str | None] = {}
+    for x in xs:
+        y = successor(inst, m, x, side)
+        if y is None:
+            continue
+        arcs[x] = y
+        if y not in arcs:
+            arcs[y] = next_agent(inst, m, x, side)
+    return RotationDigraph(side, arcs)
+
+
+def _cycle_to_rotation(inst: Instance, side: str, cycle: list[str]) -> Rotation:
+    # cycle alternates between the two sides; pair each x with the y
+    # preceding it in cyclic order (its current partner)
+    x_side = inst._s_index if side == STUDENTS else inst._b_index
+    if cycle[0] not in x_side:
+        cycle = cycle[1:] + cycle[:1]
+    pairs = [(cycle[i], cycle[i - 1]) for i in range(0, len(cycle), 2)]
+    return Rotation(side, tuple(pairs))
+
+
+def exposed_rotations(inst: Instance, m: Assignment, side: str) -> list[Rotation]:
+    d = build_rotation_digraph(inst, m, side)
+    return [_cycle_to_rotation(inst, side, c) for c in d.cycles()]
+
+
+def eliminate(inst: Instance, m: Assignment, rho: Rotation) -> Assignment:
+    """M/rho: each x_i swaps y_i for y_{i+1}.  Validates exposure."""
+    pairs = rho.pairs
+    r = len(pairs)
+    for i, (x, y) in enumerate(pairs):
+        y_next = pairs[(i + 1) % r][1]
+        matched = (m.school_of(x) == y) if rho.side == STUDENTS else (m.school_of(y) == x)
+        if not matched or successor(inst, m, x, rho.side) != y_next:
+            raise ValueError(f"rotation not exposed at ({x}, {y})")
+    mapping = dict(m.mapping)
+    if rho.side == STUDENTS:
+        for i, (x, _) in enumerate(pairs):
+            mapping[x] = pairs[(i + 1) % r][1]
+    else:
+        for i, (_, y) in enumerate(pairs):
+            mapping[y] = pairs[i - 1][0]
+    return Assignment(mapping)
+
 
 
 @dataclass(frozen=True)
@@ -206,3 +355,78 @@ def is_constrained_efficient_reference(inst: Instance, consent: ConsentSet | Non
         if not any(_violated_priority(inst, m2, a) for a in refusing):
             return False
     return True
+
+
+def parse_instance_reference(text: str) -> Instance:
+    """parse_instance keeping every preference line as names, resolved and
+    checked only by the name-level constructor."""
+    students: list[str] | None = None
+    schools: list[str] | None = None
+    student_set: set[str] | None = None
+    school_set: set[str] | None = None
+    quota: dict[str, int] = {}
+    s_prefs: dict[str, list[str]] = {}
+    b_prefs: dict[str, list[str]] = {}
+    header_seen = False
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if not header_seen:
+            if line != "instance v1":
+                raise ParseError("expected header 'instance v1'", lineno)
+            header_seen = True
+            continue
+        if line.startswith("students:"):
+            if students is not None:
+                raise ParseError("duplicate students: line", lineno)
+            students = line[len("students:"):].split()
+            student_set = set(students)
+            continue
+        if line.startswith("schools:"):
+            if schools is not None:
+                raise ParseError("duplicate schools: line", lineno)
+            schools = []
+            for tok in line[len("schools:"):].split():
+                if tok.endswith("]") and "[" in tok:
+                    name, _, qpart = tok.partition("[")
+                    qtext = qpart[:-1]
+                    try:
+                        q = int(qtext)
+                    except ValueError:
+                        raise ParseError(f"bad quota {qtext!r} for school {name!r}", lineno) from None
+                    if q < 1:
+                        raise ParseError(f"school {name!r} has quota {q}; must be >= 1", lineno)
+                    schools.append(name)
+                    quota[name] = q
+                else:
+                    schools.append(tok)
+            school_set = set(schools)
+            continue
+        if ":" not in line:
+            raise ParseError(f"cannot parse {line!r}", lineno)
+        name, _, rest = line.partition(":")
+        name = name.strip()
+        entries = rest.split()
+        if student_set is None or school_set is None:
+            raise ParseError("preference line before students:/schools: rosters", lineno)
+        if name in s_prefs or name in b_prefs:
+            raise ParseError(f"duplicate preference line for {name!r}", lineno)
+        if name in student_set:
+            s_prefs[name] = entries
+        elif name in school_set:
+            b_prefs[name] = entries
+        else:
+            raise ParseError(f"unknown identifier {name!r}", lineno)
+
+    if not header_seen:
+        raise ParseError("missing header 'instance v1'", 1)
+    if students is None:
+        raise ParseError("missing students: line")
+    if schools is None:
+        raise ParseError("missing schools: line")
+    try:
+        return Instance(students, schools, quota, s_prefs, b_prefs)
+    except InvalidInstanceError as e:
+        raise ParseError(str(e)) from e

@@ -17,8 +17,7 @@ import pytest
 
 from legalassign import (Assignment, ConsentSet, GenConfig, PlanCell,
                          all_rotations, auxiliary_instance, dominates,
-                         eliminate, enumerate_stable, exposed_rotations,
-                         fixture_path, generate, gs_student,
+                         enumerate_stable, fixture_path, generate, gs_student,
                          is_constrained_efficient, is_stable, kesten_eadam,
                          legal_fixed_point, legal_subinstance, parse_instance,
                          reduce_one_to_one, rotate_remove,
@@ -27,7 +26,7 @@ from legalassign import (Assignment, ConsentSet, GenConfig, PlanCell,
 from legalassign.benchgen import _run_one
 
 from _markets import random_consent, random_market
-from _references import rotate_remove_naive
+from _references import eliminate, exposed_rotations, rotate_remove_naive
 
 
 def _load(name):

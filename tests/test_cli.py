@@ -167,6 +167,18 @@ def test_oracle_cap_exit(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("what", ["stable", "legal", "verify"])
+def test_oracle_cap_on_a_market_deeper_than_the_recursion_limit(capsys, tmp_path, what):
+    assert 1200 > sys.getrecursionlimit()
+    path = tmp_path / "deep.inst"
+    assert run(capsys, "gen", "--students", "1200", "--schools", "10",
+               "--list-length", "3", "--seed", "1", "--output", str(path))[0] == 0
+    code, out, err = run(capsys, "oracle", what, "--input", str(path), "--cap", "10")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: assignment enumeration exceeds cap=10 ")
+    assert len(err.splitlines()) == 1
+
+
 def test_latin_gen_matches_reference(capsys):
     code, out, _ = run(capsys, "latin", "gen", "--order", "4")
     assert code == 0

@@ -10,17 +10,20 @@ which hypothesis or a seeded ``random.Random`` supplies.
 
 import contextlib
 import io
+import math
 import random
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
-from legalassign import GenConfig, Instance, generate, model
+from legalassign import GenConfig, Instance, ParseError, generate, model, parse_instance
 from legalassign.cli import main
 
 from _markets import random_market
+from _references import parse_instance_reference
 
 INSTANCE_MUTATIONS = ("drop_line", "dup_line", "drop_token", "dup_token",
                       "stray", "bad_quota", "asymmetric", "swap")
@@ -178,6 +181,28 @@ def test_malformed_files_fail_with_one_error_line(tmp_path_factory, seed, data):
         _fails_cleanly(["oracle", what, "--input", str(bad_inst), "--cap", "8"])
 
 
+def _parsed(parse, text: str) -> tuple:
+    """The instance ``parse`` gives with its cross-rank tables, or its error."""
+    try:
+        inst = parse(text)
+    except ParseError as e:
+        return ("error", str(e))
+    return ("ok", inst, inst._s_srank, inst._b_rrank)
+
+
+@given(st.integers(0, 10 ** 6), st.data(), st.sampled_from([0, math.inf]))
+@settings(max_examples=100, deadline=None)
+def test_parse_agrees_with_the_name_level_reference(seed, data, cutoff):
+    inst = random_market(random.Random(seed))
+    pick, between = _hypothesis_draws(data)
+    texts = [inst.to_text()]
+    if inst.n_edges > 0:
+        texts += [_mutated_instance(inst, kind, pick, between) for kind in INSTANCE_MUTATIONS]
+    with mock.patch.object(model, "_SORT_JOIN_MIN_EDGES", cutoff):
+        for text in texts:
+            assert _parsed(parse_instance, text) == _parsed(parse_instance_reference, text)
+
+
 @given(st.integers(0, 10 ** 6), st.data())
 @settings(max_examples=100, deadline=None)
 def test_malformed_matrices_fail_with_one_error_line(tmp_path_factory, seed, data):
@@ -204,6 +229,8 @@ def test_large_malformed_files_fail_with_one_error_line(tmp_path, name):
     pick, between = _seeded_draws(random.Random(cfg.seed))
     for kind in INSTANCE_MUTATIONS:
         bad = tmp_path / f"{kind}.inst"
-        bad.write_text(_mutated_instance(inst, kind, pick, between), encoding="utf-8")
+        text = _mutated_instance(inst, kind, pick, between)
+        assert _parsed(parse_instance, text) == _parsed(parse_instance_reference, text)
+        bad.write_text(text, encoding="utf-8")
         _fails_cleanly(["validate", "--input", str(bad)])
         _fails_cleanly(["solve", "--mechanism", "gs", "--input", str(bad)])

@@ -14,6 +14,7 @@ from legalassign import (Assignment, GenConfig, Instance, InvalidInstanceError,
 from legalassign import model
 
 from _markets import random_market
+from _references import parse_instance_reference
 
 M1 = Assignment({"1": "B", "2": "A", "3": "C"})
 M2 = Assignment({"1": "A", "2": "B", "3": "C"})
@@ -102,11 +103,54 @@ def test_rejects_identifiers_the_format_cannot_write(students, schools):
     ({"a": ["c"]}, {"c": ["a"], "d": ["e", "a"]},
      "asymmetric adjacency: 'd' ranks 'e' but not vice versa"),
     ({"a": ["c", "c", "x"]}, {"c": ["a"]}, "student 'a' ranks school 'c' twice"),
+    # the school row comes first in the file, but student rows are searched first
+    ({"a": ["c", "c"]}, {"c": ["a", "x"]}, "student 'a' ranks school 'c' twice"),
+    # a repeat on both sides of one edge keeps the two edge counts equal
+    ({"a": ["c", "c"]}, {"c": ["a", "a"]}, "student 'a' ranks school 'c' twice"),
+    ({"a": ["c"], "e": ["d"]}, {"c": ["a"], "d": ["e", "e"]},
+     "school 'd' ranks student 'e' twice"),
 ])
 def test_validation_messages(s_prefs, b_prefs, message):
-    with pytest.raises(InvalidInstanceError) as err:
-        Instance(["a", "e"], ["c", "d"], {}, s_prefs, b_prefs)
-    assert str(err.value) == message
+    text = _text("students: a e\nschools: c d", s_prefs, b_prefs)
+    for cutoff in (SORT, DICT):
+        with pytest.raises(InvalidInstanceError) as err:
+            _build((["a", "e"], ["c", "d"], {}, s_prefs, b_prefs), cutoff)
+        assert str(err.value) == message
+        with pytest.raises(ParseError) as err:
+            _parse(text, cutoff)
+        assert str(err.value) == message
+
+
+def _text(rosters: str, s_prefs, b_prefs) -> str:
+    """Instance text of unchecked name lists, school lines first, so that
+    the file order of the rows is not the order they are searched in."""
+    lines = ["instance v1", rosters]
+    lines += [f"{b}: " + " ".join(row) for b, row in b_prefs.items()]
+    lines += [f"{a}: " + " ".join(row) for a, row in s_prefs.items()]
+    return "\n".join(lines) + "\n"
+
+
+# Roster faults come before any row fault; a fault the line scan finds
+# comes before both.
+@pytest.mark.parametrize("rosters, s_prefs, b_prefs, message", [
+    ("students: a a\nschools: c d", {"a": ["c", "x"]}, {"c": ["a"]},
+     "duplicate student identifier"),
+    ("students: a e\nschools: c d c", {"a": ["c", "c"]}, {"c": ["a"]},
+     "duplicate school identifier"),
+    ("students: a c\nschools: c d", {"a": ["d", "d"], "c": ["x"]}, {"d": ["a"]},
+     "identifier on both sides: 'c'"),
+    ("students: a e]\nschools: c d[2]", {"a": ["c", "x"]}, {"c": ["a", "a"]},
+     "student identifier 'e]' is not valid; identifiers are non-empty, contain no "
+     "whitespace and none of '#:[]', and are not 'students' or 'schools'"),
+    ("students: a a\nschools: c d", {"a": ["c"]}, {"z": ["a"]},
+     "line 4: unknown identifier 'z'"),
+], ids=["duplicate-student", "duplicate-school", "overlap", "invalid", "unknown-owner"])
+def test_roster_faults_come_first(rosters, s_prefs, b_prefs, message):
+    text = _text(rosters, s_prefs, b_prefs)
+    for parse in (parse_instance, parse_instance_reference):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
 
 
 def test_text_round_trip(ex1, ex2, ex3):
@@ -346,6 +390,11 @@ def _build(args: tuple, cutoff: float) -> Instance:
         return Instance(*args)
 
 
+def _parse(text: str, cutoff: float) -> Instance:
+    with mock.patch.object(model, "_SORT_JOIN_MIN_EDGES", cutoff):
+        return parse_instance(text)
+
+
 def _spy(seen: list):
     """Patch the sort join to record what each call returns in ``seen``."""
     join = model._sort_join
@@ -494,9 +543,14 @@ def test_validation_messages_above_the_cutoff(fault):
     students, schools, quota, sp, bp = _args(generate(LARGE["top-5"]))
     assert sum(map(len, sp.values())) >= model._SORT_JOIN_MIN_EDGES
     message = fault(sp, bp)
+    text = _text("students: " + " ".join(students) + "\nschools: "
+                 + " ".join(f"{b}[{quota.get(b, 1)}]" for b in schools), sp, bp)
     for cutoff in (model._SORT_JOIN_MIN_EDGES, DICT):
         with pytest.raises(InvalidInstanceError) as err:
             _build((students, schools, quota, sp, bp), cutoff)
+        assert str(err.value) == message
+        with pytest.raises(ParseError) as err:
+            _parse(text, cutoff)
         assert str(err.value) == message
 
 

@@ -1,5 +1,6 @@
 import ast
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,23 @@ def test_cap_trips():
         enumerate_assignments(inst, cap=3)
     with pytest.raises(OracleCapError):
         legal_fixed_point(inst, cap=3)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_enumeration_order_and_cap(seed):
+    """Students in instance order, each trying its list and then None: the
+    product of the options, the first student's varying slowest, without
+    the products that overfill a school."""
+    inst = random_market(random.Random(seed), max_students=5, max_schools=3)
+    students = inst.students
+    expected = [dict(zip(students, pick))
+                for pick in product(*(inst.student_prefs[a] + (None,) for a in students))
+                if all(pick.count(b) <= inst.quota_of(b) for b in inst.schools)]
+    assert [m.mapping for m in enumerate_assignments(inst)] == expected
+    assert len(enumerate_assignments(inst, cap=len(expected))) == len(expected)
+    with pytest.raises(OracleCapError, match=f"exceeds cap={len(expected) - 1} "):
+        enumerate_assignments(inst, cap=len(expected) - 1)
 
 
 def test_optimal_in_picks_lattice_ends(ex1):

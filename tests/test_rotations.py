@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legalassign import (Assignment, Instance, Rotation, UnstableAssignmentError,
-                         all_rotations, build_rotation_digraph, eliminate,
-                         exposed_rotations, gs_student, is_stable, next_agent,
-                         sigma, sigma_inverse, successor)
+                         all_rotations, gs_student, is_stable, sigma, sigma_inverse)
 
 from _markets import random_market
+from _references import (build_rotation_digraph, eliminate, exposed_rotations,
+                         next_agent, successor)
 
 
 def drop_edge(inst: Instance, a: str, b: str) -> Instance:
