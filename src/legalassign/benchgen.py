@@ -3,7 +3,9 @@
 Two generators are provided: complete bipartite markets with uniform
 permutation preferences and uniform quotas, and truncated markets where
 students rank only a top-k sample (quotas sized to the student/school
-ratio).  The harness runs a set of mechanisms over a plan of generated
+ratio).  Both hand their index rows to the checks and cross-rank join that
+a parsed file goes through, so generated markets are validated like any
+other.  The harness runs a set of mechanisms over a plan of generated
 instances, verifies the mechanism outputs agree where they must, and
 emits one CSV row per (instance, mechanism, consent rate, repetition).
 """
@@ -185,6 +187,15 @@ def _quotas(cfg: GenConfig, rng: np.random.Generator) -> list[int]:
     return rng.integers(lo, hi + 1, size=cfg.n_schools).tolist()
 
 
+def _instance(n_a: int, n_b: int, quota: list[int], s_pref: list[list[int]],
+              b_pref: list[list[int]]) -> Instance:
+    """The market of generated index rows, named a1.. and b1..; it passes
+    the checks and cross-rank join of a parsed file."""
+    schools = _names("b", n_b)
+    return Instance._from_rows(_names("a", n_a), schools, dict(zip(schools, quota)),
+                               s_pref, b_pref)
+
+
 def gen_complete(cfg: GenConfig) -> Instance:
     """Complete bipartite market: every preference list is an independent
     uniform permutation of the other side, quotas drawn per quota_model."""
@@ -196,16 +207,7 @@ def gen_complete(cfg: GenConfig) -> Instance:
     s_pref = rng.permuted(np.tile(np.arange(n_b), (n_a, 1)), axis=1)
     b_pref = rng.permuted(np.tile(np.arange(n_a), (n_b, 1)), axis=1)
     quota = _quotas(cfg, rng)
-
-    # argsort of a permutation row is its inverse: inv_s[a][b] = a's rank of b.
-    inv_s = np.argsort(s_pref, axis=1)
-    inv_b = np.argsort(b_pref, axis=1)
-    s_srank = np.take_along_axis(inv_b.T.copy(), s_pref, axis=1)
-    b_rrank = np.take_along_axis(inv_s.T.copy(), b_pref, axis=1)
-
-    return Instance._from_arrays(
-        _names("a", n_a), _names("b", n_b), quota,
-        s_pref.tolist(), b_pref.tolist(), s_srank.tolist(), b_rrank.tolist())
+    return _instance(n_a, n_b, quota, s_pref.tolist(), b_pref.tolist())
 
 
 def gen_truncated(cfg: GenConfig) -> Instance:
@@ -232,17 +234,7 @@ def gen_truncated(cfg: GenConfig) -> Instance:
     b_pref: list[list[int]] = [
         [row[i] for i in rng.permutation(len(row))] for row in listers]
     quota = _quotas(cfg, rng)
-
-    b_rank: list[dict[int, int]] = [
-        {a: pos for pos, a in enumerate(row)} for row in b_pref]
-    s_rank: list[dict[int, int]] = [
-        {b: pos for pos, b in enumerate(row)} for row in s_pref]
-    s_srank = [[b_rank[b][a] for b in row] for a, row in enumerate(s_pref)]
-    b_rrank = [[s_rank[a][b] for a in row] for b, row in enumerate(b_pref)]
-
-    return Instance._from_arrays(
-        _names("a", n_a), _names("b", n_b), quota,
-        s_pref, b_pref, s_srank, b_rrank)
+    return _instance(n_a, n_b, quota, s_pref, b_pref)
 
 
 def generate(cfg: GenConfig) -> Instance:

@@ -57,7 +57,6 @@ class _MatchState(NamedTuple):
     """Index-level solver output, reused by downstream engines."""
     match_school: list[int]  # per student: school index or -1
     match_pos: list[int]     # per student: own-list position of match, len(list) if unmatched
-    fill: list[int]          # per school: seats taken
 
 
 def _as_assignment(inst: Instance, match_school: Sequence[int]) -> Assignment:
@@ -135,7 +134,7 @@ def _gs_core(s_pref: list[list[int]], s_srank: list[list[int]],
         else:
             ptr[a] = pos  # exhausted: stays unmatched
 
-    return (_MatchState(match_school, match_pos, fill),
+    return (_MatchState(match_school, match_pos),
             Counters(proposals, cells, gs_runs=1), rejected_flag)
 
 
@@ -186,7 +185,7 @@ def _gs_school_arrays(inst: Instance) -> tuple[_MatchState, Counters]:
 
     match_pos = [cur_rank[a] if cur_rank[a] != _UNRANKED else len(s_pref[a])
                  for a in range(n_a)]
-    return (_MatchState(match_school, match_pos, fill),
+    return (_MatchState(match_school, match_pos),
             Counters(proposals, proposals, gs_runs=1))
 
 

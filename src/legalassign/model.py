@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -62,6 +62,14 @@ def _index_rows(owners: Sequence[str], prefs: Mapping[str, Sequence[str]],
         return None
 
 
+def _named(owners: Sequence[str], others: Sequence[str], rows: list[list],
+           unresolved: Container[str]) -> dict[str, list[str]]:
+    """The name lists of index rows; the row of an owner in ``unresolved``
+    kept its names."""
+    return {x: row if x in unresolved else [others[i] for i in row]
+            for x, row in zip(owners, rows)}
+
+
 #: Edge count from which `Instance` joins the cross ranks by sorting.  Below
 #: it the dict join is faster, as numpy's fixed cost per call outweighs its
 #: per-edge gain (the measurement is in CHANGES.md).
@@ -82,12 +90,13 @@ def _dict_join(s_pref: list[list[int]], b_pref: list[list[int]]):
     s_srank = []
     b_rrank: list[list] = [[None] * len(row) for row in b_pref]
     for i, row in enumerate(s_pref):
-        try:
-            cranks = [b_rank[j][i] for j in row]
-        except KeyError:
-            return None
+        cranks = []
         for r, j in enumerate(row):
-            b_rrank[j][cranks[r]] = r
+            c = b_rank[j].get(i)
+            if c is None:
+                return None
+            b_rrank[j][c] = r
+            cranks.append(c)
         s_srank.append(cranks)
     if any(None in row for row in b_rrank):
         return None
@@ -145,8 +154,9 @@ def _sort_join(s_pref: list[list[int]], b_pref: list[list[int]],
 class Instance:
     """Immutable one-to-many market.
 
-    Construction validates all structural invariants at index level: it
-    checks the rosters and quotas, resolves each row to agent indices, then
+    Every construction, from name lists, from a file or from index rows,
+    validates all structural invariants at index level: it checks the
+    rosters and quotas, resolves each row to agent indices, then
     joins the two sides' cells into cross ranks, which also finds a
     repeated agent and checks that adjacency is symmetric.  On a fault, one
     ordered search over the name lists raises the first one.
@@ -184,6 +194,17 @@ class Instance:
         b_pref = _index_rows(self._schools, school_prefs, self._s_index)
         if s_pref is None or b_pref is None or not self._set_rows(s_pref, b_pref):
             self._raise_first_fault(student_prefs, school_prefs)
+
+    @classmethod
+    def _from_rows(cls, students: Sequence[str], schools: Sequence[str],
+                   quota: Mapping[str, int], s_pref: list[list[int]],
+                   b_pref: list[list[int]]) -> Instance:
+        """An instance of index rows, with the checks and join of a parsed
+        file.  Each row holds indices into the other side's roster."""
+        inst = cls.__new__(cls)
+        inst._set_rosters(students, schools)
+        inst._check_and_join(quota, s_pref, b_pref)
+        return inst
 
     def _set_rosters(self, students: Sequence[str], schools: Sequence[str]) -> None:
         """Store the rosters and their indices, unchecked."""
@@ -237,6 +258,19 @@ class Instance:
         self._n_edges = n_edges
         return True
 
+    def _check_and_join(self, quota: Mapping[str, int], s_pref: list[list],
+                        b_pref: list[list], unresolved: Container[str] = ()) -> None:
+        """Check the stored rosters and the quotas, then join the index rows.
+
+        The row of an owner in ``unresolved`` holds the names it was given,
+        one of them unknown.  On any fault the rows are named again, so the
+        fault finder raises the first one.
+        """
+        self._check_rosters(quota)
+        if unresolved or not self._set_rows(s_pref, b_pref):
+            self._raise_first_fault(_named(self._students, self._schools, s_pref, unresolved),
+                                    _named(self._schools, self._students, b_pref, unresolved))
+
     def _raise_first_fault(self, student_prefs: Mapping[str, Sequence[str]],
                            school_prefs: Mapping[str, Sequence[str]]) -> None:
         """Raise for the first fault of rows that ``_set_rows`` refused.
@@ -274,31 +308,6 @@ class Instance:
                             f"asymmetric adjacency: {owners[k]!r} ranks {others[x]!r} "
                             "but not vice versa")
         raise AssertionError("rows have no fault")
-
-    @classmethod
-    def _from_arrays(
-        cls,
-        students: Sequence[str],
-        schools: Sequence[str],
-        quota: Sequence[int],
-        s_pref: list[list[int]],
-        b_pref: list[list[int]],
-        s_srank: list[list[int]],
-        b_rrank: list[list[int]],
-    ) -> "Instance":
-        """Trusted fast path for generators that already hold index arrays."""
-        inst = object.__new__(cls)
-        inst._students = tuple(students)
-        inst._schools = tuple(schools)
-        inst._quota = tuple(quota)
-        inst._s_index = {a: i for i, a in enumerate(inst._students)}
-        inst._b_index = {b: j for j, b in enumerate(inst._schools)}
-        inst._s_pref = s_pref
-        inst._b_pref = b_pref
-        inst._s_srank = s_srank
-        inst._b_rrank = b_rrank
-        inst._n_edges = sum(len(r) for r in s_pref)
-        return inst
 
     # -- public views ------------------------------------------------------
 
@@ -381,11 +390,6 @@ class Instance:
     def student_degree(self, a: str) -> int:
         return len(self._s_pref[self._student_idx(a)])
 
-    def validate(self) -> None:
-        """Re-check structural invariants (useful for generated instances)."""
-        Instance(self._students, self._schools, self.quota,
-                 self.student_prefs, self.school_prefs)
-
     def to_text(self) -> str:
         """Serialize in the instance file format; round-trips via parse_instance."""
         lines = ["instance v1"]
@@ -429,21 +433,6 @@ class Assignment:
         self._match = dict(match)
         self._pairs: frozenset[tuple[str, str]] | None = None
         self._by_school: dict[str, frozenset[str]] | None = None
-
-    @classmethod
-    def from_pairs(cls, inst: Instance, pairs: Iterable[tuple[str, str]]) -> "Assignment":
-        """Validating constructor: pairs must be edges and respect quotas."""
-        match: dict[str, str | None] = {a: None for a in inst.students}
-        load: dict[str, int] = {b: 0 for b in inst.schools}
-        for a, b in pairs:
-            inst.student_rank(a, b)  # raises on unknown agent / non-edge
-            if match[a] is not None:
-                raise ValueError(f"student {a!r} assigned twice")
-            match[a] = b
-            load[b] += 1
-            if load[b] > inst.quota_of(b):
-                raise ValueError(f"school {b!r} over quota")
-        return cls(match)
 
     def school_of(self, a: str) -> str | None:
         return self._match[a]
@@ -565,14 +554,6 @@ def dominates(inst: Instance, m1: Assignment, m2: Assignment) -> bool:
 
 # -- instance file format ----------------------------------------------------
 
-def _named(owners: Sequence[str], others: Sequence[str], rows: list[list],
-           unresolved: set[str]) -> dict[str, list[str]]:
-    """The name lists of parsed rows; the row of an owner in ``unresolved``
-    kept its names."""
-    return {x: row if x in unresolved else [others[i] for i in row]
-            for x, row in zip(owners, rows)}
-
-
 def parse_instance(text: str) -> Instance:
     """Parse the `instance v1` text format.
 
@@ -668,12 +649,8 @@ def parse_instance(text: str) -> Instance:
         inst._set_rosters(students, schools)
         s_rows, b_rows = [None] * len(students), [None] * len(schools)
     try:
-        inst._check_rosters(quota)
-        s_pref = [[] if row is None else row for row in s_rows]
-        b_pref = [[] if row is None else row for row in b_rows]
-        if unresolved or not inst._set_rows(s_pref, b_pref):
-            inst._raise_first_fault(_named(students, schools, s_pref, unresolved),
-                                    _named(schools, students, b_pref, unresolved))
+        inst._check_and_join(quota, [[] if row is None else row for row in s_rows],
+                             [[] if row is None else row for row in b_rows], unresolved)
     except InvalidInstanceError as e:
         raise ParseError(str(e)) from e
     return inst

@@ -8,6 +8,7 @@ suites treat its answers as authoritative.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, compress, repeat
@@ -24,11 +25,13 @@ class OracleCapError(RuntimeError):
     """Raised when an enumeration would exceed its cap."""
 
 
-def _size_estimate(inst: Instance) -> int:
-    est = 1
-    for a in inst.students:
-        est *= inst.student_degree(a) + 1
-    return est
+def _size_estimate(inst: Instance) -> str:
+    """The product of (degree + 1) over the students: exact below 10^15,
+    else the nearest power of ten, so that the text stays short at any
+    market size."""
+    options = [inst.student_degree(a) + 1 for a in inst.students]
+    digits = sum(map(math.log10, options))
+    return str(math.prod(options)) if digits < 15 else f"about 10^{round(digits)}"
 
 
 def enumerate_assignments(inst: Instance, cap: int = DEFAULT_CAP) -> list[Assignment]:

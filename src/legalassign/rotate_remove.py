@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import compress
 from operator import not_
 from typing import Iterator
 
@@ -163,22 +163,13 @@ def legal_subinstance(inst: Instance) -> LegalSubinstanceReport:
 def _restrict(inst: Instance, b_keep: list[bytearray]) -> Instance:
     """The instance without the edges whose school-side keep flag is 0.
 
-    The student side's flags follow through the cross ranks.  A kept cell's
-    new position is the number of kept cells up to and including it, minus
-    one.
+    The student side's flags follow through the cross ranks.
     """
     s_keep = [bytearray(len(row)) for row in inst._s_pref]
     for row, cranks, keep in zip(inst._b_pref, inst._b_rrank, b_keep):
         for i, c in compress(zip(row, cranks), keep):
             s_keep[i][c] = 1
-    s_pos = [list(accumulate(keep)) for keep in s_keep]
-    b_pos = [list(accumulate(keep)) for keep in b_keep]
-    s_srank = [[b_pos[j][c] - 1 for j, c in compress(zip(row, cranks), keep)]
-               for row, cranks, keep in zip(inst._s_pref, inst._s_srank, s_keep)]
-    b_rrank = [[s_pos[i][c] - 1 for i, c in compress(zip(row, cranks), keep)]
-               for row, cranks, keep in zip(inst._b_pref, inst._b_rrank, b_keep)]
-    return Instance._from_arrays(
-        inst.students, inst.schools, inst._quota,
+    return Instance._from_rows(
+        inst.students, inst.schools, inst.quota,
         [list(compress(row, keep)) for row, keep in zip(inst._s_pref, s_keep)],
-        [list(compress(row, keep)) for row, keep in zip(inst._b_pref, b_keep)],
-        s_srank, b_rrank)
+        [list(compress(row, keep)) for row, keep in zip(inst._b_pref, b_keep)])

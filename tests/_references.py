@@ -6,7 +6,9 @@ rebuild that digraph from scratch at every step, so they are slow and only
 meant for small markets.  The legal-subinstance one assembles the report
 from named edges.  The oracle ones test every edge against every
 assignment through string dicts.  The parser keeps every row as names and
-leaves all checks to the name-level constructor.
+leaves all checks to the name-level constructor.  `assemble_instance`
+stores index tables unchecked, for tests that hand over cross ranks of
+their own.
 """
 
 from __future__ import annotations
@@ -301,11 +303,29 @@ def _restrict_by_students(inst: Instance, s_keep: list[bytes]) -> Instance:
                for row, cranks, keep in zip(inst._s_pref, inst._s_srank, s_keep)]
     b_rrank = [[s_pos[i][c] - 1 for i, c in compress(zip(row, cranks), keep)]
                for row, cranks, keep in zip(inst._b_pref, inst._b_rrank, b_keep)]
-    return Instance._from_arrays(
+    return assemble_instance(
         inst.students, inst.schools, inst._quota,
         [list(compress(row, keep)) for row, keep in zip(inst._s_pref, s_keep)],
         [list(compress(row, keep)) for row, keep in zip(inst._b_pref, b_keep)],
         s_srank, b_rrank)
+
+
+def assemble_instance(students, schools, quota, s_pref, b_pref, s_srank,
+                      b_rrank) -> Instance:
+    """An instance of the given index tables, unchecked, so that a test can
+    hand over cross ranks that the library would compute or refuse."""
+    inst = object.__new__(Instance)
+    inst._students = tuple(students)
+    inst._schools = tuple(schools)
+    inst._quota = tuple(quota)
+    inst._s_index = {a: i for i, a in enumerate(inst._students)}
+    inst._b_index = {b: j for j, b in enumerate(inst._schools)}
+    inst._s_pref = s_pref
+    inst._b_pref = b_pref
+    inst._s_srank = s_srank
+    inst._b_rrank = b_rrank
+    inst._n_edges = sum(len(r) for r in s_pref)
+    return inst
 
 
 def universe_masks_reference(inst: Instance,

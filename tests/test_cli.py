@@ -164,7 +164,8 @@ def test_oracle_cap_exit(capsys):
     code, _, err = run(capsys, "oracle", "legal", "--input", fx("ex4.inst"),
                        "--cap", "3")
     assert code == 1
-    assert err.startswith("error:")
+    # below 10**15 the bound is exact: 6**5 for five students of degree 5
+    assert err == "error: assignment enumeration exceeds cap=3 (upper bound 7776)\n"
 
 
 @pytest.mark.parametrize("what", ["stable", "legal", "verify"])
@@ -177,6 +178,16 @@ def test_oracle_cap_on_a_market_deeper_than_the_recursion_limit(capsys, tmp_path
     assert (code, out) == (1, "")
     assert err.startswith("error: assignment enumeration exceeds cap=10 ")
     assert len(err.splitlines()) == 1
+
+
+def test_oracle_cap_bound_stays_short_past_the_int_string_limit(capsys, tmp_path):
+    # every student has degree 3, so the bound is 4**10000, some 6021 digits
+    path = tmp_path / "wide.inst"
+    assert run(capsys, "gen", "--students", "10000", "--schools", "100",
+               "--list-length", "3", "--seed", "1", "--output", str(path))[0] == 0
+    code, out, err = run(capsys, "oracle", "stable", "--input", str(path), "--cap", "10")
+    assert (code, out) == (1, "")
+    assert err == "error: assignment enumeration exceeds cap=10 (upper bound about 10^6021)\n"
 
 
 def test_latin_gen_matches_reference(capsys):

@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 
 from legalassign import (Assignment, GenConfig, Instance, InvalidInstanceError,
                          ParseError, blocking_pairs, blocks, dominates, generate,
-                         gs_student, is_blocking_pair, is_stable, parse_instance,
-                         reduce_one_to_one)
+                         gs_student, is_blocking_pair, is_stable, legal_subinstance,
+                         parse_instance, reduce_one_to_one)
 from legalassign import model
 
 from _markets import random_market
@@ -111,14 +113,16 @@ def test_rejects_identifiers_the_format_cannot_write(students, schools):
      "school 'd' ranks student 'e' twice"),
 ])
 def test_validation_messages(s_prefs, b_prefs, message):
+    args = (["a", "e"], ["c", "d"], {}, s_prefs, b_prefs)
     text = _text("students: a e\nschools: c d", s_prefs, b_prefs)
     for cutoff in (SORT, DICT):
         with pytest.raises(InvalidInstanceError) as err:
-            _build((["a", "e"], ["c", "d"], {}, s_prefs, b_prefs), cutoff)
+            _build(args, cutoff)
         assert str(err.value) == message
         with pytest.raises(ParseError) as err:
             _parse(text, cutoff)
         assert str(err.value) == message
+        _assert_rows_raise(args, cutoff, message)
 
 
 def _text(rosters: str, s_prefs, b_prefs) -> str:
@@ -385,9 +389,26 @@ def _tables(inst: Instance) -> tuple:
     return inst._s_pref, inst._b_pref, inst._s_srank, inst._b_rrank
 
 
-def _build(args: tuple, cutoff: float) -> Instance:
+def _build(args: tuple, cutoff: float, make=Instance) -> Instance:
     with mock.patch.object(model, "_SORT_JOIN_MIN_EDGES", cutoff):
-        return Instance(*args)
+        return make(*args)
+
+
+def _assert_rows_raise(args: tuple, cutoff: float, message: str) -> None:
+    """The index-row builder raises ``message`` on the index rows of the
+    constructor arguments ``args``, unless a list names an unknown agent,
+    which index rows cannot express."""
+    students, schools, quota, s_prefs, b_prefs = args
+    s_index = {a: i for i, a in enumerate(students)}
+    b_index = {b: j for j, b in enumerate(schools)}
+    try:
+        s_pref = [[b_index[b] for b in s_prefs.get(a, ())] for a in students]
+        b_pref = [[s_index[a] for a in b_prefs.get(b, ())] for b in schools]
+    except KeyError:
+        return
+    with pytest.raises(InvalidInstanceError) as err:
+        _build((students, schools, quota, s_pref, b_pref), cutoff, Instance._from_rows)
+    assert str(err.value) == message
 
 
 def _parse(text: str, cutoff: float) -> Instance:
@@ -446,7 +467,7 @@ def test_both_joins_accept_markets_without_edges(args):
 
 @pytest.mark.parametrize("name", LARGE)
 def test_sort_join_above_the_cutoff(name):
-    gen = generate(LARGE[name])  # built from index arrays, with benchgen's own ranks
+    gen = generate(LARGE[name])  # built from index rows
     assert gen.n_edges >= model._SORT_JOIN_MIN_EDGES
     seen = []
     with _spy(seen):
@@ -552,6 +573,7 @@ def test_validation_messages_above_the_cutoff(fault):
         with pytest.raises(ParseError) as err:
             _parse(text, cutoff)
         assert str(err.value) == message
+        _assert_rows_raise((students, schools, quota, sp, bp), cutoff, message)
 
 
 def test_equal_edge_counts_reach_the_sort_join():
@@ -573,3 +595,43 @@ def test_school_ranks_are_built_on_first_use(name):
     assert "_b_rank" in inst.__dict__
     assert all(inst.school_rank(b, a) == r
                for b, row in inst.school_prefs.items() for r, a in enumerate(row))
+
+
+# The three benchmark workloads' market shapes.
+@pytest.mark.parametrize("cfg", [
+    GenConfig(300, 300, quota_lo=1, quota_hi=1, seed=0),
+    GenConfig(2000, 20, quota_model="nyc", list_length=10, seed=1),
+    GenConfig(7, 3, quota_lo=1, quota_hi=2, seed=2),
+], ids=["square-complete", "tall-top10", "small-differential"])
+def test_built_tables_equal_the_parsed_ones(cfg):
+    inst = generate(cfg)
+    for built in (inst, legal_subinstance(inst).instance):
+        parsed = parse_instance(built.to_text())
+        assert parsed == built
+        assert _tables(parsed) == _tables(built) and parsed._quota == built._quota
+
+
+_TABLES = {"_s_pref", "_b_pref", "_s_srank", "_b_rrank", "_quota", "_n_edges"}
+
+
+def _builds_tables(node: ast.AST) -> bool:
+    """An assignment to an instance table, or a call of some ``__new__``."""
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return any(isinstance(t, ast.Attribute) and t.attr in _TABLES
+                   for target in targets for t in ast.walk(target))
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Attribute):
+        return node.func.attr == "__new__"
+    return (isinstance(node.func, ast.Name) and node.func.id == "setattr"
+            and any(isinstance(a, ast.Constant) and a.value in _TABLES for a in node.args))
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in Path(model.__file__).parent.glob("*.py") if p.name != "model.py"),
+    ids=lambda p: p.stem)
+def test_only_the_model_builds_instance_tables(path):
+    # the cross-rank layout stays behind model.py: other modules hand it rows
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if _builds_tables(node)]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legalassign
-from legalassign import (Assignment, GenConfig, Instance, OracleCapError,
+from legalassign import (Assignment, GenConfig, OracleCapError,
                          auxiliary_instance, blocking_digraph, blocks,
                          enumerate_assignments, enumerate_stable, fixture_path,
                          generate, gs_school, gs_student, instance_from_latin,
@@ -19,7 +19,7 @@ from legalassign import (Assignment, GenConfig, Instance, OracleCapError,
 from legalassign.oracle import _Universe, is_maximal, optimal_in
 
 from _markets import random_consent, random_market
-from _references import (is_constrained_efficient_reference,
+from _references import (assemble_instance, is_constrained_efficient_reference,
                          universe_masks_reference)
 
 M_STABLE = Assignment({"1": "B", "2": "A", "3": "C"})
@@ -210,7 +210,7 @@ def test_universe_masks_match_reference(seed):
     GenConfig(7, 3, quota_lo=1, quota_hi=3, list_length=2, seed=6),
 ])
 def test_universe_masks_match_reference_on_trusted_instances(cfg):
-    # generator output and legal subinstances come through Instance._from_arrays
+    # generated markets and legal subinstances are built from index rows
     inst = generate(cfg)
     _assert_masks_match_reference(inst)
     _assert_masks_match_reference(legal_subinstance(inst).instance)
@@ -220,9 +220,9 @@ def test_universe_masks_match_reference_on_trusted_instances(cfg):
 @settings(max_examples=15, deadline=None)
 def test_universe_masks_ignore_the_cross_rank_tables(seed):
     # the oracle reads only the preference lists, so a wrong cross rank
-    # in a trusted instance cannot change its answer
+    # cannot change its answer
     inst = random_market(random.Random(seed), max_students=6, max_quota=3)
-    scrambled = Instance._from_arrays(
+    scrambled = assemble_instance(
         inst.students, inst.schools, inst._quota, inst._s_pref, inst._b_pref,
         [[0] * len(row) for row in inst._s_pref], [[0] * len(row) for row in inst._b_pref])
     uni = _Universe.build(scrambled)
