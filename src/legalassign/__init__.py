@@ -32,15 +32,13 @@ from .latin import (LatinSquare, auxiliary_instance, diagonal_matching,
                     format_latin, instance_from_latin, latin_check, latin_stable,
                     parse_latin, ranking_matrix, xor_latin)
 from .model import (Assignment, Instance, InvalidInstanceError, OneToOneReduction,
-                    ParseError, UnstableAssignmentError, blocking_pairs, blocks,
-                    dominates, is_blocking_pair, is_stable, parse_instance,
-                    reduce_one_to_one)
+                    ParseError, blocking_pairs, blocks, dominates,
+                    is_blocking_pair, is_stable, parse_instance, reduce_one_to_one)
 from .oracle import (OracleCapError, blocking_digraph, enumerate_assignments,
                      enumerate_stable, is_constrained_efficient,
                      legal_edges_brute, legal_fixed_point, verify_legal_property)
 from .rotate_remove import (LegalSubinstanceReport, legal_subinstance,
-                            rotate_remove, school_optimal_legal, stable_edges,
-                            student_optimal_legal)
+                            rotate_remove, stable_edges)
 from .rotations import Rotation, sigma, sigma_inverse
 
 __version__ = "0.1.0"

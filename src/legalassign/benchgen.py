@@ -19,7 +19,7 @@ import os
 import time
 import warnings
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, NamedTuple
 
 import numpy as np
@@ -99,20 +99,6 @@ class Counts(NamedTuple):
     def of(cls, c: Counters) -> Counts:
         return cls(c.proposals, c.total_scans, c.rotations_eliminated,
                    c.edges_removed, c.gs_runs - 1)
-
-
-CSV_COLUMNS = (
-    "instance_id",
-    "n_students",
-    "n_schools",
-    "n_edges",
-    "quota_model",
-    "mechanism",
-    "consent_rate",
-    "seed",
-    "repetition",
-    "wall_time_ms",
-) + Counts._fields + ("rng_name", "rng_version")
 
 
 class BenchError(RuntimeError):
@@ -279,21 +265,11 @@ class BenchRecord:
             raise ValueError("counters must be non-negative")
 
     def csv_row(self) -> list[str]:
-        return [
-            self.instance_id,
-            str(self.n_students),
-            str(self.n_schools),
-            str(self.n_edges),
-            self.quota_model,
-            self.mechanism,
-            f"{self.consent_rate:g}",
-            str(self.seed),
-            str(self.repetition),
-            f"{self.wall_time_ms:.3f}",
-            *(str(getattr(self, f)) for f in Counts._fields),
-            self.rng_name,
-            self.rng_version,
-        ]
+        return [format(getattr(self, f), _CSV_FORMATS.get(f, "")) for f in CSV_COLUMNS]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
+_CSV_FORMATS = {"consent_rate": "g", "wall_time_ms": ".3f"}
 
 
 @dataclass(frozen=True)

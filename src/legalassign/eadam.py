@@ -109,8 +109,10 @@ def simplified_eadam(inst: Instance, consent: ConsentSet | None = None) -> Eadam
     student drags down with each deleted edge ab every a'b with a' below a.
     Stops once every school is underdemanded.
 
-    A school is underdemanded exactly when it rejected nobody during the run,
-    so the scan reuses the per-school rejection flags.  Each round the
+    A school is demanded when some student lists it above his match in the
+    round's surviving rows; that is the set of schools that rejected
+    somebody during the run, since a student proposes down his list and
+    leaves a school only when it refuses or displaces him.  Each round the
     surviving preference rows are rebuilt and the unmodified solver is rerun
     on them; this is the deliberately plain reference implementation.
     """
@@ -126,15 +128,16 @@ def simplified_eadam(inst: Instance, consent: ConsentSet | None = None) -> Eadam
                 for row, mask in zip(s_pref, alive)]
         ranks = [[row[j] for j in range(len(row)) if mask[j]]
                  for row, mask in zip(s_srank, alive)]
-        state, counters, rejected = _gs_core(rows, ranks, b_pref, inst._quota)
+        state, counters = _gs_core(rows, ranks, b_pref, inst._quota)
         total += counters
-        if not any(rejected):
+        demanded = {b for row, pos in zip(rows, state.match_pos) for b in row[:pos]}
+        if not demanded:
             return EadamResult(_as_assignment(inst, state.match_school),
                                tuple(removed),
                                replace(total, edges_removed=len(removed)))
         for a in range(inst.n_students):
             b = state.match_school[a]
-            if b >= 0 and rejected[b]:
+            if b in demanded:
                 continue  # a's school is still demanded; a is not settled yet
             row, mask = s_pref[a], alive[a]
             for pos in range(len(row)):
@@ -157,10 +160,9 @@ def simplified_eadam(inst: Instance, consent: ConsentSet | None = None) -> Eadam
                         removed.append((inst.students[a2], inst.schools[b2]))
 
 
-def rotate_remove_consent(inst: Instance, consent: ConsentSet | None = None, *,
-                          order: list[str] | None = None) -> EngineRun:
+def rotate_remove_consent(inst: Instance, consent: ConsentSet | None = None) -> EngineRun:
     """School-rotate-remove with the nonconsent cascade; single deferred-
     acceptance invocation plus an O(|E|) walk."""
     return school_side_run(inst, mode=CONSENT,
-                           consenting=_consent_flags(inst, consent), order=order)
+                           consenting=_consent_flags(inst, consent))
 

@@ -5,7 +5,8 @@ a single directed path, school (or student) by school, using per-agent scan
 positions that only move forward.  Reaching a sink deletes one edge and pops
 one path entry; closing a cycle eliminates the corresponding rotation and
 truncates the path.  Every preference cell is scanned at most once, plus one
-re-scan per eliminated rotation, so a full run costs O(|E|).
+re-scan per eliminated rotation, so a full run costs O(|E|).  New paths start
+at the agents in roster order; the outputs do not depend on that order.
 
 The modes of the walks:
   - legal:     rotate-remove; sinks delete illegal edges (finds legal optima)
@@ -73,16 +74,6 @@ def _named_rotations(inst: Instance, side: str,
                  for rot in rotations)
 
 
-def _order_indices(ids: Sequence[str], index: dict[str, int],
-                   order: Sequence[str] | None) -> list[int]:
-    if order is None:
-        return list(range(len(ids)))
-    out = [index[x] for x in order]
-    if sorted(out) != list(range(len(ids))):
-        raise ValueError("order must be a permutation of all agents on the side")
-    return out
-
-
 def _school_worst(inst: Instance, match_school: list[int],
                   match_pos: list[int]) -> tuple[list[int], list[int]]:
     """fill count and worst-member position (on the school's own list)."""
@@ -101,7 +92,7 @@ def _school_worst(inst: Instance, match_school: list[int],
 
 def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[int],
                      consenting: Sequence[bool] | None,
-                     order: Sequence[str] | None, gs_counters: Counters) -> EngineRun:
+                     gs_counters: Counters) -> EngineRun:
     b_pref, b_rrank = inst._b_pref, inst._b_rrank
     n_b = inst.n_schools
     deg = [len(row) for row in b_pref]
@@ -111,7 +102,6 @@ def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[in
     # schools with a free seat can never gain a suitor here: in a stable
     # assignment nobody prefers them, and students only improve from now on
     p = [worst[b] if fill[b] == quota[b] else deg[b] for b in range(n_b)]
-    restart = _order_indices(inst.schools, inst._b_index, order)
     f = 0
     path_a: list[int] = []   # student arriving at each entry; _EMPTY at the head
     path_b: list[int] = []   # school of each entry; _EMPTY is the shared sink
@@ -119,18 +109,17 @@ def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[in
     removed_a: list[int] = []
     removed_b: list[int] = []
     rotations: list[list[tuple[int, int]]] = []
-    scans = extensions = 0
+    scans = 0
 
     while True:
         if not path_b:
-            while f < n_b and p[restart[f]] >= deg[restart[f]]:
+            while f < n_b and p[f] >= deg[f]:
                 f += 1
             if f == n_b:
                 break
-            head = restart[f]
             path_a.append(_EMPTY)
-            path_b.append(head)
-            on_path[head] = 1
+            path_b.append(f)
+            on_path[f] = 1
         tail = path_b[-1]
         if tail == _EMPTY or p[tail] >= deg[tail]:
             a_in = path_a.pop()
@@ -189,11 +178,10 @@ def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[in
         path_b.append(nxt)  # _EMPTY when found is unmatched
         if nxt >= 0:
             on_path[nxt] = len(path_b)
-        extensions += 1
 
     return EngineRun(
         _as_assignment(inst, match_school),
-        gs_counters + Counters(edge_scans=scans, path_extensions=extensions,
+        gs_counters + Counters(edge_scans=scans,
                                rotations_eliminated=len(rotations),
                                edges_removed=len(removed_a)),
         inst, SCHOOLS, match_school, match_pos, rotations, removed_a, removed_b,
@@ -201,8 +189,7 @@ def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[in
 
 
 def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[int],
-                      mode: str, order: Sequence[str] | None,
-                      gs_counters: Counters) -> EngineRun:
+                      mode: str, gs_counters: Counters) -> EngineRun:
     s_pref, s_srank = inst._s_pref, inst._s_srank
     b_pref = inst._b_pref
     n_a, n_b = inst.n_students, inst.n_schools
@@ -218,7 +205,6 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
     # an unmatched student stays unmatched: no school with a free seat lists
     # him (stability), and full schools only improve their worst member
     p = [match_pos[a] if match_school[a] >= 0 else deg[a] for a in range(n_a)]
-    restart = _order_indices(inst.students, inst._s_index, order)
     f = 0
     path_b: list[int] = []   # school arriving at each entry; _EMPTY at the head
     path_a: list[int] = []   # student of each entry; _EMPTY is the shared sink
@@ -226,18 +212,17 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
     removed_a: list[int] = []
     removed_b: list[int] = []
     rotations: list[list[tuple[int, int]]] = []
-    scans = extensions = 0
+    scans = 0
 
     while True:
         if not path_a:
-            while f < n_a and p[restart[f]] >= deg[restart[f]]:
+            while f < n_a and p[f] >= deg[f]:
                 f += 1
             if f == n_a:
                 break
-            head = restart[f]
             path_b.append(_EMPTY)
-            path_a.append(head)
-            on_path[head] = 1
+            path_a.append(f)
+            on_path[f] = 1
         tail = path_a[-1]
         if tail == _EMPTY or p[tail] >= deg[tail]:
             if mode == ENUMERATE:
@@ -306,11 +291,10 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
         path_a.append(nxt)
         if nxt >= 0:
             on_path[nxt] = len(path_a)
-        extensions += 1
 
     return EngineRun(
         _as_assignment(inst, match_school),
-        gs_counters + Counters(edge_scans=scans, path_extensions=extensions,
+        gs_counters + Counters(edge_scans=scans,
                                rotations_eliminated=len(rotations),
                                edges_removed=len(removed_a)),
         inst, STUDENTS, match_school, match_pos, rotations, removed_a, removed_b,
@@ -318,8 +302,7 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
 
 
 def school_side_run(inst: Instance, *, mode: str = LEGAL,
-                    consenting: Sequence[bool] | None = None,
-                    order: Sequence[str] | None = None) -> EngineRun:
+                    consenting: Sequence[bool] | None = None) -> EngineRun:
     """Walk school-rotations upward from the student-optimal stable assignment.
 
     legal climbs to the student-optimal legal assignment, consent to the
@@ -329,13 +312,15 @@ def school_side_run(inst: Instance, *, mode: str = LEGAL,
         raise ValueError(f"unknown mode {mode!r}")
     if (consenting is not None) != (mode == CONSENT):
         raise ValueError("consenting is required exactly in consent mode")
-    state, gs_counters, _ = _gs_student_arrays(inst)
+    if consenting is not None and len(consenting) != inst.n_students:
+        raise ValueError(f"consenting has {len(consenting)} flags "
+                         f"for {inst.n_students} students")
+    state, gs_counters = _gs_student_arrays(inst)
     return _run_school_side(inst, state.match_school, state.match_pos,
-                            consenting, order, gs_counters)
+                            consenting, gs_counters)
 
 
-def student_side_run(inst: Instance, *, mode: str = LEGAL,
-                     order: Sequence[str] | None = None) -> EngineRun:
+def student_side_run(inst: Instance, *, mode: str = LEGAL) -> EngineRun:
     """Walk student-rotations downward; the mirror of school_side_run.
 
     legal starts at the school-optimal stable assignment and descends to the
@@ -345,11 +330,11 @@ def student_side_run(inst: Instance, *, mode: str = LEGAL,
     if mode not in (LEGAL, ENUMERATE):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == ENUMERATE:
-        state, gs_counters, _ = _gs_student_arrays(inst)
+        state, gs_counters = _gs_student_arrays(inst)
     else:
         state, gs_counters = _gs_school_arrays(inst)
     return _run_student_side(inst, state.match_school, state.match_pos,
-                             mode, order, gs_counters)
+                             mode, gs_counters)
 
 
 def all_rotations(inst: Instance, side: str) -> list[Rotation]:

@@ -27,13 +27,12 @@ class Counters:
 
     Deferred acceptance counts its proposals and the preference cells it
     touches; a rotation walk counts its own cell scans (``edge_scans``),
-    path extensions, eliminated rotations and removed edges.  Each
-    deferred-acceptance run counts one in ``gs_runs``.
+    eliminated rotations and removed edges.  Each deferred-acceptance run
+    counts one in ``gs_runs``.
     """
     proposals: int = 0
     cells_scanned: int = 0
     edge_scans: int = 0
-    path_extensions: int = 0
     rotations_eliminated: int = 0
     edges_removed: int = 0
     gs_runs: int = 0
@@ -67,10 +66,9 @@ def _as_assignment(inst: Instance, match_school: Sequence[int]) -> Assignment:
 
 def _gs_core(s_pref: list[list[int]], s_srank: list[list[int]],
              b_pref: list[list[int]], quota: Sequence[int],
-             ) -> tuple[_MatchState, Counters, bytearray]:
+             ) -> tuple[_MatchState, Counters]:
     """Student-proposing run on raw index rows.
 
-    Returns the match state, counters, and a per-school rejection flag.
     match_pos entries are positions within the rows given here.
     """
     n_a, n_b = len(s_pref), len(b_pref)
@@ -80,7 +78,6 @@ def _gs_core(s_pref: list[list[int]], s_srank: list[list[int]],
     fill = [0] * n_b
     worst = [-1] * n_b                      # list position of worst tentative student
     held = [None] * n_b                     # lazily allocated position-flag arrays
-    rejected_flag = bytearray(n_b)
     proposals = 0
     cells = 0
 
@@ -109,11 +106,9 @@ def _gs_core(s_pref: list[list[int]], s_srank: list[list[int]],
                 ptr[a] = pos + 1
                 break
             if rank > worst[b]:
-                rejected_flag[b] = 1
                 pos += 1
                 continue
             # displace b's worst tentative student
-            rejected_flag[b] = 1
             w = worst[b]
             loser = b_pref[b][w]
             flags[w] = 0
@@ -135,16 +130,16 @@ def _gs_core(s_pref: list[list[int]], s_srank: list[list[int]],
             ptr[a] = pos  # exhausted: stays unmatched
 
     return (_MatchState(match_school, match_pos),
-            Counters(proposals, cells, gs_runs=1), rejected_flag)
+            Counters(proposals, cells, gs_runs=1))
 
 
-def _gs_student_arrays(inst: Instance) -> tuple[_MatchState, Counters, bytearray]:
+def _gs_student_arrays(inst: Instance) -> tuple[_MatchState, Counters]:
     return _gs_core(inst._s_pref, inst._s_srank, inst._b_pref, inst._quota)
 
 
 def gs_student(inst: Instance) -> GSResult:
     """Student-proposing deferred acceptance; student-optimal stable assignment."""
-    state, counters, _ = _gs_student_arrays(inst)
+    state, counters = _gs_student_arrays(inst)
     return GSResult(_as_assignment(inst, state.match_school), counters)
 
 

@@ -34,14 +34,6 @@ class ParseError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-class UnstableAssignmentError(ValueError):
-    """Raised when an operation requiring a stable assignment finds a blocking pair."""
-
-    def __init__(self, student: str, school: str):
-        self.pair = (student, school)
-        super().__init__(f"assignment is not stable: ({student}, {school}) is a blocking pair")
-
-
 def _check_side(side: str) -> None:
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")

@@ -22,29 +22,18 @@ from .model import Assignment, Instance, SCHOOLS, STUDENTS, _check_side
 from .rotations import Rotation
 
 __all__ = [
-    "rotate_remove", "student_optimal_legal", "school_optimal_legal",
-    "stable_edges", "legal_subinstance", "LegalSubinstanceReport",
+    "rotate_remove", "stable_edges", "legal_subinstance", "LegalSubinstanceReport",
 ]
 
 
-def rotate_remove(inst: Instance, side: str = SCHOOLS, *,
-                  order: list[str] | None = None) -> EngineRun:
+def rotate_remove(inst: Instance, side: str = SCHOOLS) -> EngineRun:
     """Eliminate every rotation of the given side, deleting illegal edges at
     sinks.  side=schools yields the student-optimal legal assignment,
-    side=students the school-optimal one.  `order` only permutes the walk;
-    the outputs are invariant under it."""
+    side=students the school-optimal one."""
     _check_side(side)
     if side == SCHOOLS:
-        return school_side_run(inst, mode=LEGAL, order=order)
-    return student_side_run(inst, mode=LEGAL, order=order)
-
-
-def student_optimal_legal(inst: Instance) -> Assignment:
-    return school_side_run(inst).assignment
-
-
-def school_optimal_legal(inst: Instance) -> Assignment:
-    return student_side_run(inst).assignment
+        return school_side_run(inst, mode=LEGAL)
+    return student_side_run(inst, mode=LEGAL)
 
 
 def stable_edges(inst: Instance) -> frozenset[tuple[str, str]]:

@@ -19,8 +19,8 @@ from itertools import accumulate, compress
 from operator import not_
 
 from legalassign import (Assignment, ConsentSet, Counters, Instance,
-                         InvalidInstanceError, ParseError, UnstableAssignmentError,
-                         dominates, gs_school, gs_student)
+                         InvalidInstanceError, ParseError, dominates, gs_school,
+                         gs_student)
 from legalassign.eadam import _consent_flags
 from legalassign.engine import ENUMERATE, school_side_run, student_side_run
 from legalassign.model import SCHOOLS, STUDENTS, _check_side
@@ -29,6 +29,14 @@ from legalassign.rotations import Rotation, sigma_inverse
 
 
 # -- the string-level rotation digraph ----------------------------------------
+
+class UnstableAssignmentError(ValueError):
+    """Raised when an operation requiring a stable assignment finds a blocking pair."""
+
+    def __init__(self, student: str, school: str):
+        self.pair = (student, school)
+        super().__init__(f"assignment is not stable: ({student}, {school}) is a blocking pair")
+
 
 def _matched_set(m: Assignment, x: str, side: str) -> frozenset[str]:
     if side == STUDENTS:

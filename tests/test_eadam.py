@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legalassign import (Assignment, ConsentSet, diagonal_matching,
-                         gs_student, is_constrained_efficient, kesten_eadam,
-                         parse_latin, rotate_remove_consent, simplified_eadam,
+                         gs_student, gs_student_traced, is_constrained_efficient,
+                         kesten_eadam, parse_latin, rotate_remove,
+                         rotate_remove_consent, simplified_eadam,
                          underdemanded_schools)
 from legalassign.latin import instance_from_latin
 
@@ -22,8 +23,7 @@ def test_kesten_golden(ex5, consent5):
 
 
 def test_kesten_full_consent_matches_legal_optimum(ex5):
-    from legalassign import student_optimal_legal
-    assert kesten_eadam(ex5).assignment == student_optimal_legal(ex5)
+    assert kesten_eadam(ex5).assignment == rotate_remove(ex5).assignment
 
 
 def test_underdemanded_at_student_optimal(ex5):
@@ -37,6 +37,17 @@ def test_underdemanded_all_when_everyone_is_on_top():
     inst = instance_from_latin(square)
     m = diagonal_matching(square, 1)
     assert underdemanded_schools(inst, m) == {"b1", "b2", "b3", "b4"}
+
+
+def test_underdemanded_schools_are_those_that_rejected_nobody():
+    # simplified_eadam finds the demanded schools from the match positions,
+    # not from the run's refusals; the two sets agree
+    for seed in range(1000):
+        inst = random_market(random.Random(seed))
+        refused = {e.school for e in gs_student_traced(inst).trace.events()
+                   if e.outcome in ("rejected", "displaced")}
+        assert (underdemanded_schools(inst, gs_student(inst).assignment)
+                == set(inst.schools) - refused), seed
 
 
 def test_simplified_golden(ex5, consent5):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legalassign import (Assignment, all_rotations, school_side_run, sigma,
-                         student_side_run)
+from legalassign import (Assignment, Instance, all_rotations, school_side_run,
+                         sigma, student_side_run)
 from _markets import random_consent, random_market
 from _references import all_rotations_naive, rotate_remove_naive
 
@@ -46,7 +46,7 @@ def test_consent_mode_ex5(ex5, consent5):
                                          "a3": "b4", "a4": "b3"})
 
 
-def test_mode_validation(ex4):
+def test_mode_validation(ex4, ex5):
     with pytest.raises(ValueError):
         school_side_run(ex4, mode="sideways")
     with pytest.raises(ValueError):
@@ -55,13 +55,17 @@ def test_mode_validation(ex4):
         school_side_run(ex4, consenting=[True] * 5)  # flags without the mode
     with pytest.raises(ValueError):
         student_side_run(ex4, mode="consent")
-
-
-def test_order_must_be_permutation(ex4):
     with pytest.raises(ValueError):
-        school_side_run(ex4, order=["b1", "b2"])
-    run = school_side_run(ex4, order=["b5", "b3", "b1", "b2", "b4"])
-    assert run.assignment == LEGAL_EX4
+        school_side_run(ex5, mode="consent", consenting=[False])  # too few flags
+    with pytest.raises(ValueError):
+        school_side_run(ex5, mode="consent", consenting=[True] * 10)  # too many
+
+
+def test_permuted_school_roster_ex4(ex4):
+    # the walk starts its paths in roster order; the output does not depend on it
+    shuffled = Instance(ex4.students, ["b5", "b3", "b1", "b2", "b4"], ex4.quota,
+                        ex4.student_prefs, ex4.school_prefs)
+    assert school_side_run(shuffled).assignment == LEGAL_EX4
 
 
 def test_enumerate_mode_empty_when_stable_is_unique(ex4):

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from legalassign import (Assignment, Instance, dominates, enumerate_stable,
                          gs_student, is_stable, legal_fixed_point, legal_subinstance,
-                         rotate_remove, school_optimal_legal, stable_edges,
-                         student_optimal_legal)
+                         rotate_remove, stable_edges)
 
 from _markets import random_market
 from _references import legal_subinstance_reference
@@ -30,9 +29,8 @@ def test_student_rotations_reach_school_optimal_legal(ex3):
     assert run.removed_edges == (("a1", "b3"),)
 
 
-def test_optimal_legal_wrappers(ex3):
-    assert student_optimal_legal(ex3) == STUDENT_OPT_EX3
-    assert school_optimal_legal(ex3) == SCHOOL_OPT_EX3
+def test_rotate_remove_defaults_to_the_school_side(ex3):
+    assert rotate_remove(ex3).assignment == STUDENT_OPT_EX3
 
 
 def test_legal_optima_dominate_in_order(ex3):
@@ -42,7 +40,7 @@ def test_legal_optima_dominate_in_order(ex3):
 
 
 def test_student_optimal_legal_ex1(ex1):
-    assert student_optimal_legal(ex1) == Assignment({"1": "A", "2": "B", "3": "C"})
+    assert rotate_remove(ex1).assignment == Assignment({"1": "A", "2": "B", "3": "C"})
 
 
 def test_legal_subinstance_ex1(ex1):
@@ -94,8 +92,8 @@ def test_removed_edges_lie_on_no_legal_assignment(seed):
 def test_outputs_are_lattice_extremes_of_the_legal_set(seed):
     inst = random_market(random.Random(seed))
     legal, _ = legal_fixed_point(inst)
-    lo = school_optimal_legal(inst)
-    hi = student_optimal_legal(inst)
+    lo = rotate_remove(inst, "students").assignment
+    hi = rotate_remove(inst, "schools").assignment
     for m in legal:
         assert dominates(inst, hi, m)
         assert dominates(inst, m, lo)

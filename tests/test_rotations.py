@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legalassign import (Assignment, Instance, Rotation, UnstableAssignmentError,
-                         all_rotations, gs_student, is_stable, sigma, sigma_inverse)
+from legalassign import (Assignment, Instance, Rotation, all_rotations, gs_student,
+                         is_stable, sigma, sigma_inverse)
 
 from _markets import random_market
-from _references import (build_rotation_digraph, eliminate, exposed_rotations,
-                         next_agent, successor)
+from _references import (UnstableAssignmentError, build_rotation_digraph, eliminate,
+                         exposed_rotations, next_agent, successor)
 
 
 def drop_edge(inst: Instance, a: str, b: str) -> Instance:

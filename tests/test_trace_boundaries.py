@@ -1,0 +1,56 @@
+"""The names perfbench's spans patch still carry each mechanism's solve.
+
+``perfbench/spans.py`` swaps library names (module globals and a few
+methods) for wrappers that record a span and copy counters out of the
+results.  A refactor that renames one of them, or changes how it is
+called, would otherwise only show up in a traced benchmark run.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from legalassign import cli, fixture_path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+COMMON = {("model.parse_instance", None), ("model.format", None)}
+EXPECTED = {
+    "gs": {("gs.student", None)},
+    "eadam-fast": {("eadam.rotate_remove_consent", None),
+                   ("engine.school_side_run", "consent"), ("gs.student", None)},
+    "legal-student-opt": {("rotate_remove.rotate_remove", "schools"),
+                          ("engine.school_side_run", "legal"), ("gs.student", None)},
+    "legal-school-opt": {("rotate_remove.rotate_remove", "students"),
+                         ("engine.student_side_run", "legal"), ("gs.school", None)},
+    "legal-subgraph": {("rotate_remove.legal_subinstance", None),
+                       ("engine.school_side_run", "legal"),
+                       ("engine.student_side_run", "legal"),
+                       ("engine.student_side_run", "enumerate"),
+                       ("gs.student", None), ("gs.school", None)},
+}
+
+
+@pytest.fixture(scope="module")
+def spans():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import spans
+        yield spans
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+@pytest.mark.parametrize("mechanism", sorted(EXPECTED))
+def test_traced_solve_crosses_the_patched_names(spans, mechanism):
+    argv = ["solve", "--mechanism", mechanism, "--input", str(fixture_path("ex5.inst"))]
+    if mechanism == "eadam-fast":
+        argv += ["--consent", str(fixture_path("ex5-consent.txt"))]
+    tracer = spans.Tracer()
+    with spans.instrument(tracer), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    tracer.settle()  # the describe hooks read the results and call arguments
+    assert {(s.name, s.attrs.get("mode")) for s in tracer.spans} == COMMON | EXPECTED[mechanism]
