@@ -24,7 +24,7 @@ from .benchgen import (BenchError, BenchRecord, EqualityViolation, GenConfig,
                        MechanismTimeout, PlanCell, generate, run_bench,
                        sample_consent, write_csv)
 from .eadam import (ConsentSet, EadamResult, kesten_eadam, rotate_remove_consent,
-                    simplified_eadam, underdemanded_schools)
+                    simplified_eadam)
 from .engine import EngineRun, all_rotations, school_side_run, student_side_run
 from .gs import (Counters, GSResult, TracedGS, gs_school, gs_student,
                  gs_student_traced, interrupting_pairs)
@@ -32,14 +32,12 @@ from .latin import (LatinSquare, auxiliary_instance, diagonal_matching,
                     format_latin, instance_from_latin, latin_check, latin_stable,
                     parse_latin, ranking_matrix, xor_latin)
 from .model import (Assignment, Instance, InvalidInstanceError, OneToOneReduction,
-                    ParseError, blocking_pairs, blocks, dominates,
-                    is_blocking_pair, is_stable, parse_instance, reduce_one_to_one)
-from .oracle import (OracleCapError, blocking_digraph, enumerate_assignments,
-                     enumerate_stable, is_constrained_efficient,
-                     legal_edges_brute, legal_fixed_point, verify_legal_property)
-from .rotate_remove import (LegalSubinstanceReport, legal_subinstance,
-                            rotate_remove, stable_edges)
-from .rotations import Rotation, sigma, sigma_inverse
+                    ParseError, blocking_pairs, dominates, is_stable, parse_instance,
+                    reduce_one_to_one)
+from .oracle import (OracleCapError, enumerate_assignments, enumerate_stable,
+                     is_constrained_efficient, legal_fixed_point, verify_legal_property)
+from .rotate_remove import LegalSubinstanceReport, legal_subinstance, rotate_remove
+from .rotations import Rotation, sigma
 
 __version__ = "0.1.0"
 

@@ -279,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lsub = lp.add_subparsers(dest="action", required=True, metavar="action")
     lg = lsub.add_parser("gen", help="emit a Latin ranking matrix")
     lg.add_argument("--order", type=int, required=True)
-    lg.add_argument("--family", choices=("xor",), default="xor")
     lg.add_argument("--output", metavar="FILE")
     lg.set_defaults(func=_cmd_latin_gen)
     la = lsub.add_parser("aux", help="augmented market with one forced student")

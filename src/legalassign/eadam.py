@@ -11,16 +11,17 @@ O(|E|) production path.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Iterable
 
 from .engine import CONSENT, EngineRun, school_side_run
-from .gs import (Counters, _as_assignment, _gs_core,
+from .gs import (DISPLACED, Counters, _as_assignment, _gs_core,
                  gs_student_traced, interrupting_pairs)
 from .model import Assignment, Instance, InvalidInstanceError
 
 __all__ = [
     "ConsentSet", "EadamResult", "kesten_eadam", "simplified_eadam",
-    "rotate_remove_consent", "underdemanded_schools",
+    "rotate_remove_consent",
 ]
 
 
@@ -75,7 +76,8 @@ def kesten_eadam(inst: Instance, consent: ConsentSet | None = None) -> EadamResu
     while True:
         res = gs_student_traced(inst, alive)
         runs += 1
-        proposals += sum(len(r) for r in res.trace.rounds)
+        # every proposal is accepted or rejected once; a displacement is not one
+        proposals += sum(e.outcome != DISPLACED for e in res.trace.events())
         pairs = interrupting_pairs(res.trace)  # latest step first
         step = next((k for a, _, k in pairs if flags[s_index[a]]), None)
         if step is None:
@@ -86,20 +88,6 @@ def kesten_eadam(inst: Instance, consent: ConsentSet | None = None) -> EadamResu
             if k == step and flags[s_index[a]]:
                 alive[s_index[a]][s_rank[s_index[a]][b_index[b]]] = 0
                 removed.append((a, b))
-
-
-def underdemanded_schools(inst: Instance, m: Assignment) -> set[str]:
-    """Schools that no student strictly prefers to his current match."""
-    demanded = [False] * inst.n_schools
-    s_pref = inst._s_pref
-    match_pos = [len(s_pref[i]) if m.school_of(a) is None
-                 else inst.student_rank(a, m.school_of(a))
-                 for i, a in enumerate(inst.students)]
-    for i in range(inst.n_students):
-        row = s_pref[i]
-        for pos in range(match_pos[i]):
-            demanded[row[pos]] = True
-    return {b for j, b in enumerate(inst.schools) if not demanded[j]}
 
 
 def simplified_eadam(inst: Instance, consent: ConsentSet | None = None) -> EadamResult:
@@ -118,16 +106,13 @@ def simplified_eadam(inst: Instance, consent: ConsentSet | None = None) -> Eadam
     """
     flags = _consent_flags(inst, consent)
     s_pref, b_pref = inst._s_pref, inst._b_pref
-    s_srank = inst._s_srank
-    s_rank, b_rank = inst._s_rank, inst._b_rank
+    s_srank, b_rrank = inst._s_srank, inst._b_rrank
     alive = _fresh_alive(inst)
     removed: list[tuple[str, str]] = []
     total = Counters()
     while True:
-        rows = [[row[j] for j in range(len(row)) if mask[j]]
-                for row, mask in zip(s_pref, alive)]
-        ranks = [[row[j] for j in range(len(row)) if mask[j]]
-                 for row, mask in zip(s_srank, alive)]
+        rows = [list(compress(row, mask)) for row, mask in zip(s_pref, alive)]
+        ranks = [list(compress(row, mask)) for row, mask in zip(s_srank, alive)]
         state, counters = _gs_core(rows, ranks, b_pref, inst._quota)
         total += counters
         demanded = {b for row, pos in zip(rows, state.match_pos) for b in row[:pos]}
@@ -150,11 +135,10 @@ def simplified_eadam(inst: Instance, consent: ConsentSet | None = None) -> Eadam
                 removed.append((inst.students[a], inst.schools[b2]))
                 if flags[a]:
                     continue
-                prow = b_pref[b2]
-                my = b_rank[b2][a]
-                for k in range(my + 1, len(prow)):
+                prow, crow = b_pref[b2], b_rrank[b2]
+                for k in range(s_srank[a][pos] + 1, len(prow)):
                     a2 = prow[k]
-                    pos2 = s_rank[a2][b2]
+                    pos2 = crow[k]
                     if alive[a2][pos2]:
                         alive[a2][pos2] = 0
                         removed.append((inst.students[a2], inst.schools[b2]))

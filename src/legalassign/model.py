@@ -474,23 +474,6 @@ class Assignment:
 
 # -- blocking and dominance -------------------------------------------------
 
-def is_blocking_pair(inst: Instance, m: Assignment, a: str, b: str) -> bool:
-    """True iff edge (a, b) blocks m.
-
-    The pair blocks when a strictly prefers b to his current school and b
-    either has a free seat or prefers a to one of its current students.
-    """
-    rank_ab = inst.student_rank(a, b)  # raises on non-edge
-    cur = m.school_of(a)
-    if cur is not None and inst.student_rank(a, cur) <= rank_ab:
-        return False
-    assigned = m.students_of(b)
-    if len(assigned) < inst.quota_of(b):
-        return True
-    rank_ba = inst.school_rank(b, a)
-    return any(inst.school_rank(b, x) > rank_ba for x in assigned)
-
-
 def blocking_pairs(inst: Instance, m: Assignment) -> Iterator[tuple[str, str]]:
     """All edges that block m, in instance edge order.
 
@@ -524,11 +507,6 @@ def blocking_pairs(inst: Instance, m: Assignment) -> Iterator[tuple[str, str]]:
 
 def is_stable(inst: Instance, m: Assignment) -> bool:
     return next(blocking_pairs(inst, m), None) is None
-
-
-def blocks(inst: Instance, m_blocking: Assignment, m: Assignment) -> bool:
-    """True iff some edge of m_blocking blocks m."""
-    return any(is_blocking_pair(inst, m, a, b) for a, b in m_blocking.matched_pairs)
 
 
 def dominates(inst: Instance, m1: Assignment, m2: Assignment) -> bool:

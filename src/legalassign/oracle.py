@@ -16,7 +16,7 @@ from operator import or_
 from typing import Iterator, Sequence
 
 from .eadam import ConsentSet, _consent_flags
-from .model import Assignment, Instance, dominates
+from .model import Assignment, Instance
 
 DEFAULT_CAP = 10**6
 
@@ -78,16 +78,6 @@ def enumerate_assignments(inst: Instance, cap: int = DEFAULT_CAP) -> list[Assign
             break
         else:
             return out
-
-
-def is_maximal(inst: Instance, m: Assignment) -> bool:
-    """No edge (a, b) with a unmatched and b under quota."""
-    for a in inst.students:
-        if m.school_of(a) is None:
-            for b in inst.student_prefs[a]:
-                if len(m.students_of(b)) < inst.quota_of(b):
-                    return False
-    return True
 
 
 @dataclass
@@ -246,39 +236,6 @@ def verify_legal_property(
         if not is_m and uni.blocked_by[i] & u == 0:
             return LegalityCheck(False, external_witness=uni.assignments[i])
     return LegalityCheck(True)
-
-
-def legal_edges_brute(inst: Instance, cap: int = DEFAULT_CAP) -> frozenset[tuple[str, str]]:
-    """Union of the matched pairs over the legal set."""
-    legal, _ = legal_fixed_point(inst, cap)
-    out: set[tuple[str, str]] = set()
-    for m in legal:
-        out |= m.matched_pairs
-    return frozenset(out)
-
-
-def blocking_digraph(inst: Instance, cap: int = DEFAULT_CAP) -> dict[Assignment, set[Assignment]]:
-    """Arcs u -> v whenever u blocks v, over all assignments."""
-    uni = _Universe.build(inst, cap)
-    out: dict[Assignment, set[Assignment]] = {m: set() for m in uni.assignments}
-    for i, u in enumerate(uni.assignments):
-        for j, v in enumerate(uni.assignments):
-            if uni.own[i] & uni.blocked_by[j]:
-                out[u].add(v)
-    return out
-
-
-def optimal_in(inst: Instance, group: Sequence[Assignment], side: str) -> Assignment:
-    """The member every student weakly prefers (side='students') or the
-    reverse extreme (side='schools', i.e. worst for students)."""
-    if not group:
-        raise ValueError("empty assignment set")
-    for m in group:
-        if side == "students" and all(dominates(inst, m, m2) for m2 in group):
-            return m
-        if side == "schools" and all(dominates(inst, m2, m) for m2 in group):
-            return m
-    raise ValueError("set has no dominant element; not a lattice slice?")
 
 
 def _violated_priority(inst: Instance, m: Assignment, a: str) -> bool:

@@ -15,14 +15,14 @@ from itertools import compress
 from operator import not_
 from typing import Iterator
 
-from .engine import (ENUMERATE, LEGAL, EngineRun, _named_rotations, all_rotations,
-                     school_side_run, student_side_run)
-from .gs import Counters, gs_school
+from .engine import (ENUMERATE, LEGAL, EngineRun, _named_rotations, school_side_run,
+                     student_side_run)
+from .gs import Counters
 from .model import Assignment, Instance, SCHOOLS, STUDENTS, _check_side
 from .rotations import Rotation
 
 __all__ = [
-    "rotate_remove", "stable_edges", "legal_subinstance", "LegalSubinstanceReport",
+    "rotate_remove", "legal_subinstance", "LegalSubinstanceReport",
 ]
 
 
@@ -34,15 +34,6 @@ def rotate_remove(inst: Instance, side: str = SCHOOLS) -> EngineRun:
     if side == SCHOOLS:
         return school_side_run(inst, mode=LEGAL)
     return student_side_run(inst, mode=LEGAL)
-
-
-def stable_edges(inst: Instance) -> frozenset[tuple[str, str]]:
-    """Edges on some stable assignment: the school-optimal one plus every
-    (x_i, y_i) pair of a student-rotation."""
-    out = set(gs_school(inst).assignment.matched_pairs)
-    for rho in all_rotations(inst, STUDENTS):
-        out.update(rho.pairs)
-    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -118,7 +109,7 @@ def legal_subinstance(inst: Instance) -> LegalSubinstanceReport:
     up = school_side_run(inst)
     down = student_side_run(inst)
     mid = student_side_run(inst, mode=ENUMERATE)
-    # sigma_inverse of each school-rotation (b_i, a_i): the pairs (a_i, b_{i-1})
+    # the inverse of sigma on each school-rotation (b_i, a_i): the pairs (a_i, b_{i-1})
     rotations = ([[(tau[i][1], tau[i - 1][0]) for i in range(len(tau))]
                   for tau in reversed(up._rotations)]
                  + mid._rotations + down._rotations)

@@ -41,9 +41,6 @@ class Rotation:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def dump(self) -> str:
-        return f"{self.side}: " + " ".join(f"({x} {y})" for x, y in self.pairs)
-
 
 def sigma(rho: Rotation) -> Rotation:
     """Re-thread a student-rotation into the school-rotation undoing it:
@@ -53,11 +50,3 @@ def sigma(rho: Rotation) -> Rotation:
     pairs = rho.pairs
     r = len(pairs)
     return Rotation(SCHOOLS, tuple((pairs[(i + 1) % r][1], pairs[i][0]) for i in range(r)))
-
-
-def sigma_inverse(tau: Rotation) -> Rotation:
-    if tau.side != SCHOOLS:
-        raise ValueError("sigma_inverse takes a school-rotation")
-    pairs = tau.pairs
-    return Rotation(STUDENTS, tuple((pairs[i][1], pairs[i - 1][0]) for i in range(len(pairs))))
-

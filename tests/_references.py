@@ -1,5 +1,8 @@
 """References the fast, index-level code is tested against.
 
+The naive blocking predicate tests one edge through name-level ranks;
+beside it sit underdemanded schools, sigma's inverse, a set's lattice
+ends, maximality and the stable edges from the rotations.
 The string-level rotation digraph finds successors, exposed rotations and
 eliminations through named agents.  The digraph-rebuilding references
 rebuild that digraph from scratch at every step, so they are slow and only
@@ -17,15 +20,93 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import not_
+from typing import Sequence
 
 from legalassign import (Assignment, ConsentSet, Counters, Instance,
-                         InvalidInstanceError, ParseError, dominates, gs_school,
-                         gs_student)
+                         InvalidInstanceError, ParseError, all_rotations, dominates,
+                         gs_school, gs_student)
 from legalassign.eadam import _consent_flags
 from legalassign.engine import ENUMERATE, school_side_run, student_side_run
 from legalassign.model import SCHOOLS, STUDENTS, _check_side
 from legalassign.oracle import _violated_priority, enumerate_assignments
-from legalassign.rotations import Rotation, sigma_inverse
+from legalassign.rotations import Rotation
+
+
+# -- the naive blocking predicate and other test-only helpers ------------------
+
+def is_blocking_pair(inst: Instance, m: Assignment, a: str, b: str) -> bool:
+    """True iff edge (a, b) blocks m.
+
+    The pair blocks when a strictly prefers b to his current school and b
+    either has a free seat or prefers a to one of its current students.
+    """
+    rank_ab = inst.student_rank(a, b)  # raises on non-edge
+    cur = m.school_of(a)
+    if cur is not None and inst.student_rank(a, cur) <= rank_ab:
+        return False
+    assigned = m.students_of(b)
+    if len(assigned) < inst.quota_of(b):
+        return True
+    rank_ba = inst.school_rank(b, a)
+    return any(inst.school_rank(b, x) > rank_ba for x in assigned)
+
+
+def blocks(inst: Instance, m_blocking: Assignment, m: Assignment) -> bool:
+    """True iff some edge of m_blocking blocks m."""
+    return any(is_blocking_pair(inst, m, a, b) for a, b in m_blocking.matched_pairs)
+
+
+def underdemanded_schools(inst: Instance, m: Assignment) -> set[str]:
+    """Schools that no student strictly prefers to his current match."""
+    demanded = [False] * inst.n_schools
+    s_pref = inst._s_pref
+    match_pos = [len(s_pref[i]) if m.school_of(a) is None
+                 else inst.student_rank(a, m.school_of(a))
+                 for i, a in enumerate(inst.students)]
+    for i in range(inst.n_students):
+        row = s_pref[i]
+        for pos in range(match_pos[i]):
+            demanded[row[pos]] = True
+    return {b for j, b in enumerate(inst.schools) if not demanded[j]}
+
+
+def sigma_inverse(tau: Rotation) -> Rotation:
+    if tau.side != SCHOOLS:
+        raise ValueError("sigma_inverse takes a school-rotation")
+    pairs = tau.pairs
+    return Rotation(STUDENTS, tuple((pairs[i][1], pairs[i - 1][0]) for i in range(len(pairs))))
+
+
+def optimal_in(inst: Instance, group: Sequence[Assignment], side: str) -> Assignment:
+    """The member every student weakly prefers (side='students') or the
+    reverse extreme (side='schools', i.e. worst for students)."""
+    if not group:
+        raise ValueError("empty assignment set")
+    for m in group:
+        if side == "students" and all(dominates(inst, m, m2) for m2 in group):
+            return m
+        if side == "schools" and all(dominates(inst, m2, m) for m2 in group):
+            return m
+    raise ValueError("set has no dominant element; not a lattice slice?")
+
+
+def is_maximal(inst: Instance, m: Assignment) -> bool:
+    """No edge (a, b) with a unmatched and b under quota."""
+    for a in inst.students:
+        if m.school_of(a) is None:
+            for b in inst.student_prefs[a]:
+                if len(m.students_of(b)) < inst.quota_of(b):
+                    return False
+    return True
+
+
+def stable_edges(inst: Instance) -> frozenset[tuple[str, str]]:
+    """Edges on some stable assignment: the school-optimal one plus every
+    (x_i, y_i) pair of a student-rotation."""
+    out = set(gs_school(inst).assignment.matched_pairs)
+    for rho in all_rotations(inst, STUDENTS):
+        out.update(rho.pairs)
+    return frozenset(out)
 
 
 # -- the string-level rotation digraph ----------------------------------------

@@ -105,7 +105,7 @@ def test_solve_counters_block(capsys):
 #: with ex5-consent.txt for the three EADAM forms
 EX5_COUNTERS = {
     "gs": (10, 10, 0, 0, 0),
-    "eadam": (19, 0, 0, 1, 1),
+    "eadam": (16, 0, 0, 1, 1),
     "eadam-simplified": (21, 21, 0, 6, 2),
     "eadam-fast": (10, 19, 1, 6, 0),
     "legal-student-opt": (10, 22, 1, 3, 0),

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from legalassign import (Assignment, ConsentSet, diagonal_matching,
                          gs_student, gs_student_traced, is_constrained_efficient,
                          kesten_eadam, parse_latin, rotate_remove,
-                         rotate_remove_consent, simplified_eadam,
-                         underdemanded_schools)
+                         rotate_remove_consent, simplified_eadam)
 from legalassign.latin import instance_from_latin
 
 from _markets import random_consent, random_market
+from _references import underdemanded_schools
 
 EADAM_EX5 = Assignment({"a1": "b1", "a2": "b2", "a3": "b4", "a4": "b3"})
 
@@ -24,6 +24,16 @@ def test_kesten_golden(ex5, consent5):
 
 def test_kesten_full_consent_matches_legal_optimum(ex5):
     assert kesten_eadam(ex5).assignment == rotate_remove(ex5).assignment
+
+
+def test_kesten_counts_proposals_not_displacements():
+    # with nobody consenting Kesten runs deferred acceptance once, so it makes
+    # gs_student's proposals; a displaced student proposed only once
+    for seed in range(300):
+        inst = random_market(random.Random(seed))
+        res = kesten_eadam(inst, ConsentSet.of([]))
+        assert res.gs_runs == 1, seed
+        assert res.counters.proposals == gs_student(inst).counters.proposals, seed
 
 
 def test_underdemanded_at_student_optimal(ex5):

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legalassign import (Assignment, GenConfig, Instance, InvalidInstanceError,
-                         ParseError, blocking_pairs, blocks, dominates, generate,
-                         gs_student, is_blocking_pair, is_stable, legal_subinstance,
-                         parse_instance, reduce_one_to_one)
+                         ParseError, blocking_pairs, dominates, generate, gs_student,
+                         is_stable, legal_subinstance, parse_instance,
+                         reduce_one_to_one)
 from legalassign import model
 
 from _markets import random_market
-from _references import parse_instance_reference
+from _references import blocks, is_blocking_pair, parse_instance_reference
 
 M1 = Assignment({"1": "B", "2": "A", "3": "C"})
 M2 = Assignment({"1": "A", "2": "B", "3": "C"})

@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 
 import legalassign
 from legalassign import (Assignment, GenConfig, OracleCapError,
-                         auxiliary_instance, blocking_digraph, blocks,
-                         enumerate_assignments, enumerate_stable, fixture_path,
-                         generate, gs_school, gs_student, instance_from_latin,
-                         is_blocking_pair, is_constrained_efficient, is_stable,
-                         legal_edges_brute, legal_fixed_point, legal_subinstance,
-                         parse_instance, parse_latin, rotate_remove_consent,
-                         verify_legal_property)
-from legalassign.oracle import _Universe, is_maximal, optimal_in
+                         auxiliary_instance, enumerate_assignments, enumerate_stable,
+                         fixture_path, generate, gs_school, gs_student,
+                         instance_from_latin, is_constrained_efficient, is_stable,
+                         legal_fixed_point, legal_subinstance, parse_instance,
+                         parse_latin, rotate_remove_consent, verify_legal_property)
+from legalassign.oracle import _Universe
 
 from _markets import random_consent, random_market
-from _references import (assemble_instance, is_constrained_efficient_reference,
+from _references import (assemble_instance, blocks, is_blocking_pair,
+                         is_constrained_efficient_reference, is_maximal, optimal_in,
                          universe_masks_reference)
 
 M_STABLE = Assignment({"1": "B", "2": "A", "3": "C"})
@@ -82,15 +81,16 @@ def test_verify_legal_property(ex1):
 
 
 def test_blocking_digraph_agrees_with_blocks(ex1):
-    dg = blocking_digraph(ex1)
-    for u in dg:
-        for v in dg:
-            assert (v in dg[u]) == blocks(ex1, u, v)
-    assert all(M_STABLE not in dg[u] for u in dg)
+    uni = _Universe.build(ex1)
+    for u, own in zip(uni.assignments, uni.own):
+        for v, blocked_by in zip(uni.assignments, uni.blocked_by):
+            assert bool(own & blocked_by) == blocks(ex1, u, v)
+    assert not any(own & uni.blocked_by[uni.assignments.index(M_STABLE)] for own in uni.own)
 
 
 def test_legal_edges_ex1(ex1):
-    assert legal_edges_brute(ex1) == frozenset(
+    legal, _ = legal_fixed_point(ex1)
+    assert frozenset().union(*(m.matched_pairs for m in legal)) == frozenset(
         {("1", "A"), ("1", "B"), ("2", "A"), ("2", "B"), ("3", "C")})
 
 

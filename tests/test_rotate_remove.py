@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from legalassign import (Assignment, Instance, dominates, enumerate_stable,
                          gs_student, is_stable, legal_fixed_point, legal_subinstance,
-                         rotate_remove, stable_edges)
+                         rotate_remove)
 
 from _markets import random_market
-from _references import legal_subinstance_reference
+from _references import legal_subinstance_reference, stable_edges
 
 STUDENT_OPT_EX3 = Assignment({"a1": "b2", "a2": "b2", "a3": "b3",
                               "a4": "b1", "a5": "b3", "a6": "b1"})

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legalassign import (Assignment, Instance, Rotation, all_rotations, gs_student,
-                         is_stable, sigma, sigma_inverse)
+                         is_stable, sigma)
 
 from _markets import random_market
 from _references import (UnstableAssignmentError, build_rotation_digraph, eliminate,
-                         exposed_rotations, next_agent, successor)
+                         exposed_rotations, next_agent, sigma_inverse, successor)
 
 
 def drop_edge(inst: Instance, a: str, b: str) -> Instance:

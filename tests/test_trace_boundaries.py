@@ -3,10 +3,13 @@
 ``perfbench/spans.py`` swaps library names (module globals and a few
 methods) for wrappers that record a span and copy counters out of the
 results.  A refactor that renames one of them, or changes how it is
-called, would otherwise only show up in a traced benchmark run.
+called, would otherwise only show up in a traced benchmark run.  The
+perfbench modules are imported here too, so that no name they import can
+leave the package exports unnoticed.
 """
 
 import contextlib
+import importlib
 import io
 import sys
 from pathlib import Path
@@ -35,13 +38,23 @@ EXPECTED = {
 
 
 @pytest.fixture(scope="module")
-def spans():
+def perfbench_path():
     sys.path.insert(0, str(PERFBENCH))
     try:
-        import spans
-        yield spans
+        yield
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+@pytest.fixture(scope="module")
+def spans(perfbench_path):
+    return importlib.import_module("spans")
+
+
+@pytest.mark.parametrize("module", ["checks", "spans", "workloads"])
+def test_perfbench_module_imports(perfbench_path, module):
+    sys.modules.pop(module, None)  # import it afresh, not from an earlier test
+    importlib.import_module(module)
 
 
 @pytest.mark.parametrize("mechanism", sorted(EXPECTED))
