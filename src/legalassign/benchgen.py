@@ -43,7 +43,7 @@ _STREAM_CONSENT = 2
 
 
 class Mechanism(NamedTuple):
-    #: (instance, consent) -> (comparable output, counters)
+    #: (instance, consent) -> (output, counters)
     run: Callable[[Instance, ConsentSet | None], tuple[object, Counters]]
     #: reads the consent set; all such forms must give the same assignment
     consent: bool = False
@@ -56,8 +56,8 @@ def _assigned(res) -> tuple[Assignment, Counters]:
     return res.assignment, res.counters
 
 
-def _legal_edges(rep) -> tuple[frozenset[tuple[str, str]], Counters]:
-    return rep.legal_edges, rep.counters
+def _reported(rep) -> tuple[object, Counters]:
+    return rep, rep.counters
 
 
 # The solvers are looked up as module globals at call time, so a caller
@@ -77,7 +77,7 @@ _TABLE = {
     "legal-school-opt": Mechanism(
         lambda inst, consent: _assigned(rotate_remove(inst, STUDENTS))),
     "legal-subgraph": Mechanism(
-        lambda inst, consent: _legal_edges(legal_subinstance(inst))),
+        lambda inst, consent: _reported(legal_subinstance(inst))),
 }
 
 MECHANISMS = tuple(_TABLE)
@@ -304,7 +304,7 @@ def instance_id(cfg: GenConfig) -> str:
 
 def _run_one(mechanism: str, inst: Instance, consent: ConsentSet | None,
              ) -> tuple[object, Counts]:
-    """Run one mechanism; return its comparable output and its counts."""
+    """Run one mechanism; return its output and its counts."""
     if mechanism not in _TABLE:
         raise ValueError(f"unknown mechanism: {mechanism!r}")
     out, counters = _TABLE[mechanism].run(inst, consent)

@@ -46,8 +46,7 @@ class EngineRun:
     counters: Counters                       # the initial solve plus the walk
     _inst: Instance
     _side: str                               # the side whose rotations were walked
-    _match: list[int]                        # per student: school index or -1
-    _match_pos: list[int]                    # its position on the student's list
+    _match_pos: list[int]                    # per student: own-list position of its match
     _rotations: list[list[tuple[int, int]]]  # (x, y) index pairs, x on _side
     _removed_a: list[int]                    # removed edges in removal order:
     _removed_b: list[int]                    # student and school indices
@@ -184,7 +183,7 @@ def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[in
         gs_counters + Counters(edge_scans=scans,
                                rotations_eliminated=len(rotations),
                                edges_removed=len(removed_a)),
-        inst, SCHOOLS, match_school, match_pos, rotations, removed_a, removed_b,
+        inst, SCHOOLS, match_pos, rotations, removed_a, removed_b,
     )
 
 
@@ -297,7 +296,7 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
         gs_counters + Counters(edge_scans=scans,
                                rotations_eliminated=len(rotations),
                                edges_removed=len(removed_a)),
-        inst, STUDENTS, match_school, match_pos, rotations, removed_a, removed_b,
+        inst, STUDENTS, match_pos, rotations, removed_a, removed_b,
     )
 
 

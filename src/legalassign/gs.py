@@ -9,6 +9,7 @@ what interrupter detection consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
@@ -222,58 +223,52 @@ def gs_student_traced(inst: Instance, alive: Sequence[bytearray] | None = None) 
 
     Each round every unmatched student with list remaining proposes to his
     next school; each school keeps the best q of incumbents plus proposers.
-    A student whose list runs out simply stops (no event).  The final
-    assignment equals gs_student's.
+    A student whose list runs out simply stops (no event).  A round's events
+    go school by school in index order: first each proposer's outcome in
+    student index order, then the displaced students in the school's list
+    order.  The final assignment equals gs_student's.
     """
     students, schools = inst.students, inst.schools
-    s_pref = inst._s_pref
-    b_rank = {b: {a: r for r, a in enumerate(inst.school_prefs[b])} for b in schools}
-    quota = inst.quota
+    s_pref, s_srank, b_pref, quota = inst._s_pref, inst._s_srank, inst._b_pref, inst._quota
 
-    ptr = {a: 0 for a in students}
-    cur: dict[str, str | None] = {a: None for a in students}
-    holding: dict[str, set[str]] = {b: set() for b in schools}
+    ptr, cur = [0] * len(students), [-1] * len(students)  # cur: school index or -1
+    holding: list[list[int]] = [[] for _ in schools]  # per school: held list positions, ascending
     rounds: list[tuple[GSEvent, ...]] = []
-    rnd = 0
-    while True:
-        rnd += 1
-        proposals: dict[str, list[str]] = {}
-        for i, a in enumerate(students):
-            if cur[a] is not None:
+    for rnd in count(1):
+        proposals: dict[int, list[int]] = {}  # school -> proposers' positions on its list
+        for i, row in enumerate(s_pref):
+            if cur[i] >= 0:
                 continue
-            row = s_pref[i]
-            pos = ptr[a]
+            pos = ptr[i]
             if alive is not None:
                 while pos < len(row) and not alive[i][pos]:
                     pos += 1
             if pos >= len(row):
-                ptr[a] = pos
+                ptr[i] = pos
                 continue
-            b = schools[row[pos]]
-            ptr[a] = pos + 1
-            proposals.setdefault(b, []).append(a)
+            ptr[i] = pos + 1
+            proposals.setdefault(row[pos], []).append(s_srank[i][pos])
         if not proposals:
             break
         events: list[GSEvent] = []
-        for b in schools:
-            props = proposals.get(b)
-            if not props:
-                continue
-            rank = b_rank[b]
-            pool = sorted(holding[b] | set(props), key=rank.get)
-            kept = set(pool[:quota[b]])
-            for a in props:
-                if a in kept:
-                    events.append(GSEvent(rnd, a, b, ACCEPTED))
-                    cur[a] = b
+        for j in sorted(proposals):
+            b, names = schools[j], b_pref[j]
+            kept = sorted(holding[j] + proposals[j])[:quota[j]]
+            taken = set(kept)
+            for r in proposals[j]:
+                a = names[r]
+                if r in taken:
+                    events.append(GSEvent(rnd, students[a], b, ACCEPTED))
+                    cur[a] = j
                 else:
-                    events.append(GSEvent(rnd, a, b, REJECTED))
-            for a in holding[b] - kept:
-                events.append(GSEvent(rnd, a, b, DISPLACED))
-                cur[a] = None
-            holding[b] = kept
+                    events.append(GSEvent(rnd, students[a], b, REJECTED))
+            for r in holding[j]:
+                if r not in taken:
+                    events.append(GSEvent(rnd, students[names[r]], b, DISPLACED))
+                    cur[names[r]] = -1
+            holding[j] = kept
         rounds.append(tuple(events))
-    return TracedGS(Assignment(cur), GSTrace(tuple(rounds)))
+    return TracedGS(_as_assignment(inst, cur), GSTrace(tuple(rounds)))
 
 
 def interrupting_pairs(trace: GSTrace) -> list[tuple[str, str, int]]:

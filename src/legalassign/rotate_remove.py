@@ -5,7 +5,8 @@ from the student-optimal stable assignment up to the student-optimal legal
 assignment; the student-side mirror walks from the school-optimal stable
 assignment down to the school-optimal legal one.  Gluing the two walks to the
 stable lattice in the middle yields every legal edge, hence the subinstance
-whose stable assignments are exactly the legal assignments.
+whose stable assignments are exactly the legal assignments.  The glue is one
+pointer per student, which each rotation of the chain moves down its list.
 """
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ from .rotations import Rotation
 __all__ = [
     "rotate_remove", "legal_subinstance", "LegalSubinstanceReport",
 ]
+
+_UNGLUED = "legal edge set differs between the two walks"
 
 
 def rotate_remove(inst: Instance, side: str = SCHOOLS) -> EngineRun:
@@ -59,23 +62,19 @@ class LegalSubinstanceReport:
 
     @cached_property
     def legal_edges(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self._named_cells(self._keep))
+        return frozenset((a, b) for a, legal, _ in self.edges_by_student()
+                         for b in legal)
 
     @cached_property
     def illegal_edges(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self._named_cells(bytes(map(not_, keep)) for keep in self._keep))
+        return frozenset((a, b) for a, _, illegal in self.edges_by_student()
+                         for b in illegal)
 
     @cached_property
     def rotations(self) -> tuple[Rotation, ...]:
         """Student-rotations of the subinstance, ordered from the student-
         optimal to the school-optimal legal assignment."""
         return _named_rotations(self._inst, STUDENTS, self._rotations)
-
-    def _named_cells(self, masks) -> Iterator[tuple[str, str]]:
-        students = self._inst.students
-        for b, row, keep in zip(self._inst.schools, self._inst._b_pref, masks):
-            for a in compress(row, keep):
-                yield (students[a], b)
 
     def edges_by_student(self) -> Iterator[tuple[str, list[str], list[str]]]:
         """(student, its legal schools, its illegal schools) for every
@@ -103,8 +102,10 @@ def legal_subinstance(inst: Instance) -> LegalSubinstanceReport:
     the mirror images of the school-rotations eliminated on the way up to the
     student-optimal legal assignment, the student-rotations of the original
     instance, and the ones eliminated on the way down to the school-optimal
-    legal assignment.  The legal edge set is assembled from them twice, once
-    from each end, and the two forms are checked against each other.
+    legal assignment.  One pointer per student replays the chain from the
+    top down the student's list, marking the legal edges; a pair that does
+    not start at its student's pointer, or pointers that do not end at the
+    bottom walk's assignment, raise AssertionError.  O(|E|) + chain length.
     """
     up = school_side_run(inst)
     down = student_side_run(inst)
@@ -113,28 +114,23 @@ def legal_subinstance(inst: Instance) -> LegalSubinstanceReport:
     rotations = ([[(tau[i][1], tau[i - 1][0]) for i in range(len(tau))]
                   for tau in reversed(up._rotations)]
                  + mid._rotations + down._rotations)
-
-    from_bottom = {(a, b) for a, b in enumerate(down._match) if b >= 0}
-    from_top = {(a, b) for a, b in enumerate(up._match) if b >= 0}
-    for rot in rotations:
-        from_bottom.update(rot)
-        r = len(rot)
-        from_top.update((rot[i][0], rot[(i + 1) % r][1]) for i in range(r))
-    if from_bottom != from_top:
-        raise AssertionError("legal edge set differs between the two walks")
-
-    # Every legal edge of a student lies on its list between its schools in
-    # the two legal optima, so only that stretch of each list is looked at.
+    s_pref, s_srank = inst._s_pref, inst._s_srank
     keep = [bytearray(len(row)) for row in inst._b_pref]
-    marked = 0
-    for a, (row, cranks, top, bottom) in enumerate(zip(
-            inst._s_pref, inst._s_srank, up._match_pos, down._match_pos)):
-        for k in range(top, min(bottom + 1, len(row))):
-            if (a, row[k]) in from_bottom:
-                keep[row[k]][cranks[k]] = 1
-                marked += 1
-    if marked != len(from_bottom):
-        raise AssertionError("a legal edge lies outside the legal optima")
+    at = list(up._match_pos)
+    for row, cranks, k in zip(s_pref, s_srank, at):
+        if k < len(row):
+            keep[row[k]][cranks[k]] = 1
+    for rot in rotations:
+        for (a, b), (_, b_next) in zip(rot, rot[1:] + rot[:1]):
+            row, k = s_pref[a], at[a]
+            try:
+                row.index(b, k, k + 1)  # ValueError unless row[k] == b
+                at[a] = k = row.index(b_next, k + 1)
+            except ValueError:
+                raise AssertionError(_UNGLUED) from None
+            keep[b_next][s_srank[a][k]] = 1
+    if at != down._match_pos:
+        raise AssertionError(_UNGLUED)
     return LegalSubinstanceReport(up.assignment, down.assignment,
                                   up.counters + down.counters + mid.counters,
                                   inst, keep, rotations)

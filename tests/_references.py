@@ -8,10 +8,10 @@ eliminations through named agents.  The digraph-rebuilding references
 rebuild that digraph from scratch at every step, so they are slow and only
 meant for small markets.  The legal-subinstance one assembles the report
 from named edges.  The oracle ones test every edge against every
-assignment through string dicts.  The parser keeps every row as names and
-leaves all checks to the name-level constructor.  `assemble_instance`
-stores index tables unchecked, for tests that hand over cross ranks of
-their own.
+assignment, the masks through the naive blocking predicate.  The parser
+keeps every row as names and leaves all checks to the name-level
+constructor.  `assemble_instance` stores index tables unchecked, for tests
+that hand over cross ranks of their own.
 """
 
 from __future__ import annotations
@@ -419,35 +419,15 @@ def assemble_instance(students, schools, quota, s_pref, b_pref, s_srank,
 
 def universe_masks_reference(inst: Instance,
                              assignments: list[Assignment]) -> tuple[list[int], list[int]]:
-    """(own, blocked_by) masks of _Universe, one edge at a time: an edge
-    blocks m when its student prefers it to m and its school has a free
-    seat or ranks the student above its worst member."""
-    edge_bit = {e: k for k, e in enumerate(inst.edges())}
-    s_rank = {a: {b: r for r, b in enumerate(inst.student_prefs[a])} for a in inst.students}
-    b_rank = {b: {a: r for r, a in enumerate(inst.school_prefs[b])} for b in inst.schools}
-    quota = {b: inst.quota_of(b) for b in inst.schools}
-    own: list[int] = []
-    blocked: list[int] = []
-    for m in assignments:
-        o = 0
-        for pair in m.matched_pairs:
-            o |= 1 << edge_bit[pair]
-        own.append(o)
-        worst: dict[str, int] = {}
-        load: dict[str, int] = {}
-        for a, b in m.matched_pairs:
-            r = b_rank[b][a]
-            load[b] = load.get(b, 0) + 1
-            if r > worst.get(b, -1):
-                worst[b] = r
-        mask = 0
-        for (a, b), k in edge_bit.items():
-            cur = m.school_of(a)
-            if cur is not None and s_rank[a][cur] <= s_rank[a][b]:
-                continue
-            if load.get(b, 0) < quota[b] or b_rank[b][a] < worst[b]:
-                mask |= 1 << k
-        blocked.append(mask)
+    """(own, blocked_by) masks of _Universe, one edge at a time: bit k of
+    an assignment's masks is edge k of inst.edges() when the assignment
+    holds it, and when is_blocking_pair says it blocks the assignment."""
+    edges = list(inst.edges())
+    own = [sum(1 << k for k, e in enumerate(edges) if e in m.matched_pairs)
+           for m in assignments]
+    blocked = [sum(1 << k for k, (a, b) in enumerate(edges)
+                   if is_blocking_pair(inst, m, a, b))
+               for m in assignments]
     return own, blocked
 
 

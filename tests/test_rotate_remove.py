@@ -1,4 +1,6 @@
+import importlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,13 @@ from hypothesis import strategies as st
 from legalassign import (Assignment, Instance, dominates, enumerate_stable,
                          gs_student, is_stable, legal_fixed_point, legal_subinstance,
                          rotate_remove)
+from legalassign.engine import ENUMERATE, LEGAL, student_side_run
 
 from _markets import random_market
 from _references import legal_subinstance_reference, stable_edges
+
+# the module, which the package's rotate_remove function shadows
+rotate_remove_module = importlib.import_module("legalassign.rotate_remove")
 
 STUDENT_OPT_EX3 = Assignment({"a1": "b2", "a2": "b2", "a3": "b3",
                               "a4": "b1", "a5": "b3", "a6": "b1"})
@@ -157,3 +163,34 @@ def test_report_equals_the_named_edge_reference_on_larger_markets(seed):
     rng = random.Random(seed)
     _assert_report_matches_reference(
         random_market(rng, max_students=40, max_schools=8, max_quota=4))
+
+
+def _patch_enumeration(monkeypatch, edit):
+    """Make legal_subinstance's middle enumeration return edit(rotations)."""
+    real = rotate_remove_module.student_side_run
+
+    def patched(inst, *, mode=LEGAL):
+        run = real(inst, mode=mode)
+        if mode == ENUMERATE:
+            run = replace(run, _rotations=edit(run._rotations))
+        return run
+
+    monkeypatch.setattr(rotate_remove_module, "student_side_run", patched)
+
+
+@pytest.mark.parametrize("lost", range(6))
+def test_glue_rejects_a_chain_that_lost_a_rotation(ex9, monkeypatch, lost):
+    assert len(student_side_run(ex9, mode=ENUMERATE)._rotations) == 6
+    _patch_enumeration(monkeypatch, lambda rots: rots[:lost] + rots[lost + 1:])
+    with pytest.raises(AssertionError, match="differs between the two walks"):
+        legal_subinstance(ex9)
+
+
+def test_glue_rejects_a_pair_whose_next_school_is_not_below(ex9, monkeypatch):
+    # a one-pair rotation sends its student to the school it already holds,
+    # which is not further down its list: list.index's ValueError must not leak
+    end = student_side_run(ex9, mode=ENUMERATE)._match_pos
+    stay = [(0, ex9._s_pref[0][end[0]])]
+    _patch_enumeration(monkeypatch, lambda rots: rots + [stay])
+    with pytest.raises(AssertionError, match="differs between the two walks"):
+        legal_subinstance(ex9)
