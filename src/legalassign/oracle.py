@@ -5,12 +5,20 @@ written straight from the definitions and shares no code with the production
 solvers.  It reads an instance only through its preference lists and quotas,
 never through the cross-rank tables the solvers use.  The differential test
 suites treat its answers as authoritative.
+
+One universe per market: ``legal_fixed_point``, ``verify_legal_property``
+and ``enumerate_stable`` share a one-slot memo of the enumerated universe,
+keyed by the instance (compared by its tables) and the cap, so checking a
+market's legal set right after computing it enumerates the market once.
+``is_constrained_efficient`` does not enumerate the universe at all: it
+backtracks only over the assignments in which every student holds an
+option it weakly prefers to its option in m.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, compress, repeat
 from operator import or_
 from typing import Iterator, Sequence
@@ -25,13 +33,13 @@ class OracleCapError(RuntimeError):
     """Raised when an enumeration would exceed its cap."""
 
 
-def _size_estimate(inst: Instance) -> str:
-    """The product of (degree + 1) over the students: exact below 10^15,
-    else the nearest power of ten, so that the text stays short at any
-    market size."""
-    options = [inst.student_degree(a) + 1 for a in inst.students]
-    digits = sum(map(math.log10, options))
-    return str(math.prod(options)) if digits < 15 else f"about 10^{round(digits)}"
+def _size_estimate(options: Sequence[Sequence[str | None]]) -> str:
+    """The product of the option counts over the students: exact below
+    10^15, else the nearest power of ten, so that the text stays short at
+    any market size."""
+    counts = list(map(len, options))
+    digits = sum(map(math.log10, counts))
+    return str(math.prod(counts)) if digits < 15 else f"about 10^{round(digits)}"
 
 
 def enumerate_assignments(inst: Instance, cap: int = DEFAULT_CAP) -> list[Assignment]:
@@ -39,26 +47,37 @@ def enumerate_assignments(inst: Instance, cap: int = DEFAULT_CAP) -> list[Assign
 
     Backtracks over students in instance order; each student tries his
     schools in preference order, then None.  Raises OracleCapError once more
-    than ``cap`` assignments have been produced.  The backtracking keeps one
+    than ``cap`` assignments have been produced.
+    """
+    return list(_backtrack(inst, [inst.student_prefs[a] + (None,) for a in inst.students],
+                           cap))
+
+
+def _backtrack(inst: Instance, options: Sequence[Sequence[str | None]],
+               cap: int) -> Iterator[Assignment]:
+    """The assignments in which each student holds one of its ``options``,
+    within the quotas, in backtracking order: students in instance order,
+    each trying its options in the order given.  Raises OracleCapError
+    when asked for more than ``cap``.  The backtracking keeps one
     iterator over each placed student's remaining options on a stack, so
     the depth of a market is not bounded by Python's recursion limit.
     """
     students = inst.students
     n = len(students)
-    options = [list(inst.student_prefs[a]) + [None] for a in students]
     free = {b: inst.quota_of(b) for b in inst.schools}
-    out: list[Assignment] = []
+    produced = 0
     match: dict[str, str | None] = {}
     stack: list[Iterator[str | None]] = []
     while True:
         if len(stack) < n:
             stack.append(iter(options[len(stack)]))
         else:
-            if len(out) >= cap:
+            if produced >= cap:
                 raise OracleCapError(
                     f"assignment enumeration exceeds cap={cap} "
-                    f"(upper bound {_size_estimate(inst)})")
-            out.append(Assignment(match))
+                    f"(upper bound {_size_estimate(options)})")
+            produced += 1
+            yield Assignment(match)
         # move the deepest student that has an option left to that option
         while stack:
             a = students[len(stack) - 1]
@@ -77,7 +96,7 @@ def enumerate_assignments(inst: Instance, cap: int = DEFAULT_CAP) -> list[Assign
             match[a] = b
             break
         else:
-            return out
+            return
 
 
 @dataclass
@@ -168,9 +187,18 @@ class _Universe:
         return reduce(or_, compress(self.own, member), 0)
 
 
+@lru_cache(maxsize=1)
+def _universe(inst: Instance, cap: int) -> _Universe:
+    """The universe of the last market asked for, by instance (equal
+    tables) and cap.  A cap error is not cached.  One slot: a second
+    universe kept alive costs memory, and every garbage collection walks
+    it."""
+    return _Universe.build(inst, cap)
+
+
 def enumerate_stable(inst: Instance, cap: int = DEFAULT_CAP) -> list[Assignment]:
     """All stable assignments (no edge blocks), deterministic order."""
-    uni = _Universe.build(inst, cap)
+    uni = _universe(inst, cap)
     return [m for m, bm in zip(uni.assignments, uni.blocked_by) if bm == 0]
 
 
@@ -184,7 +212,7 @@ def legal_fixed_point(
     member of L blocks).  The sequence grows monotonically and stabilizes at
     the legal set.  Returns (legal set, [L0, L1, ..., Lk]).
     """
-    uni = _Universe.build(inst, cap)
+    uni = _universe(inst, cap)
     blocked = uni.blocked_by
     cur = [bm == 0 for bm in blocked]  # L0 = stable set
     trace = [list(compress(uni.assignments, cur))]
@@ -218,7 +246,7 @@ def verify_legal_property(
     Internal: no member blocks a member.  External: every non-member is
     blocked by some member.  Returns the first witness found on failure.
     """
-    uni = _Universe.build(inst, cap)
+    uni = _universe(inst, cap)
     index = dict(zip(uni.own, range(len(uni.own))))
     member = [False] * len(uni.assignments)
     for m in candidate:
@@ -254,23 +282,25 @@ def _violated_priority(inst: Instance, m: Assignment, a: str) -> bool:
 def is_constrained_efficient(inst: Instance, consent: ConsentSet | None,
                              m: Assignment, cap: int = DEFAULT_CAP) -> bool:
     """True iff m respects every nonconsenting student's priority and every
-    assignment the students strictly prefer violates one.  Enumerates all
-    assignments, so this is a test oracle for small instances only."""
+    assignment the students strictly prefer violates one.  Enumerates the
+    assignments in which every student holds an option it weakly prefers to
+    its option in m, so this is a test oracle for small instances only.
+    ``cap`` bounds the number of those assignments it enumerates, not the
+    size of the whole universe."""
     flags = _consent_flags(inst, consent)
     refusing = [a for i, a in enumerate(inst.students) if not flags[i]]
     if any(_violated_priority(inst, m, a) for a in refusing):
         return False
     students = inst.students
     here = tuple(map(m.school_of, students))
-    # per student: the options it weakly prefers to its school in m
+    # per student: the options it weakly prefers to its school in m, in its order
     better = []
     for a, b in zip(students, here):
         row = inst.student_prefs[a]
-        better.append(frozenset(row + (None,) if b is None else row[:inst.student_rank(a, b) + 1]))
-    for m2 in enumerate_assignments(inst, cap):
+        better.append(row + (None,) if b is None else row[:inst.student_rank(a, b) + 1])
+    for m2 in _backtrack(inst, better, cap):
         # strict preferences: m2 strictly dominates m iff it weakly does and differs
-        there = tuple(map(m2._match.__getitem__, students))
-        if there == here or not all(map(frozenset.__contains__, better, there)):
+        if tuple(map(m2._match.__getitem__, students)) == here:
             continue
         if not any(_violated_priority(inst, m2, a) for a in refusing):
             return False

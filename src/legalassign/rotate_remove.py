@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import not_
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .engine import (ENUMERATE, LEGAL, EngineRun, _named_rotations, school_side_run,
                      student_side_run)
@@ -27,6 +26,7 @@ __all__ = [
 ]
 
 _UNGLUED = "legal edge set differs between the two walks"
+_FLIP = bytes([1, 0]) + bytes(254)  # swaps the keep flags 0 and 1
 
 
 def rotate_remove(inst: Instance, side: str = SCHOOLS) -> EngineRun:
@@ -62,13 +62,18 @@ class LegalSubinstanceReport:
 
     @cached_property
     def legal_edges(self) -> frozenset[tuple[str, str]]:
-        return frozenset((a, b) for a, legal, _ in self.edges_by_student()
-                         for b in legal)
+        return self._edges(self._keep)
 
     @cached_property
     def illegal_edges(self) -> frozenset[tuple[str, str]]:
-        return frozenset((a, b) for a, _, illegal in self.edges_by_student()
-                         for b in illegal)
+        return self._edges(keep.translate(_FLIP) for keep in self._keep)
+
+    def _edges(self, masks: Iterable[bytes]) -> frozenset[tuple[str, str]]:
+        """The (student, school) cells that ``masks``, one per school, keep."""
+        students = self._inst.students
+        return frozenset((students[a], b) for b, row, keep
+                         in zip(self._inst.schools, self._inst._b_pref, masks)
+                         for a in compress(row, keep))
 
     @cached_property
     def rotations(self) -> tuple[Rotation, ...]:
@@ -90,7 +95,7 @@ class LegalSubinstanceReport:
         for b, row, keep in zip(self._inst.schools, self._inst._b_pref, self._keep):
             for a in compress(row, keep):
                 legal[a].append(b)
-            for a in compress(row, map(not_, keep)):
+            for a in compress(row, keep.translate(_FLIP)):
                 illegal[a].append(b)
         return zip(students, legal, illegal)
 

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import random
 from itertools import product
 from pathlib import Path
@@ -8,15 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legalassign
-from legalassign import (Assignment, GenConfig, OracleCapError,
-                         auxiliary_instance, enumerate_assignments, enumerate_stable,
+from legalassign import (Assignment, ConsentSet, GenConfig, OracleCapError,
+                         auxiliary_instance, cli, dominates, enumerate_assignments,
+                         enumerate_stable,
                          fixture_path, generate, gs_school, gs_student,
                          instance_from_latin, is_constrained_efficient, is_stable,
                          legal_fixed_point, legal_subinstance, parse_instance,
                          parse_latin, rotate_remove_consent, verify_legal_property)
-from legalassign.oracle import _Universe
+from legalassign.oracle import _universe, _Universe
 
 from _markets import random_consent, random_market
+import _references
 from _references import (assemble_instance, blocks, is_blocking_pair,
                          is_constrained_efficient_reference, is_maximal, optimal_in,
                          universe_masks_reference)
@@ -241,20 +245,90 @@ def test_universe_masks_agree_with_the_edge_predicate(seed):
             is_blocking_pair(inst, m, a, b) for a, b in edges]
 
 
-def test_constrained_efficiency_matches_reference():
+def test_constrained_efficiency_matches_reference(monkeypatch):
+    # every assignment of each universe as m, so both verdicts and every
+    # shape of the dominating set occur; the reference reads the universe
+    # from a list made once per market instead of enumerating it per call
     verdicts = set()
-    for seed in range(30):
+    for seed in range(300):
         rng = random.Random(seed)
-        inst = random_market(rng, max_students=6)
-        consent = random_consent(rng, inst) if seed % 5 else None
+        inst = random_market(rng)
         universe = enumerate_assignments(inst)
-        candidates = rng.sample(universe, min(3, len(universe)))
-        candidates.append(rotate_remove_consent(inst, consent).assignment)
-        for m in candidates:
-            verdict = is_constrained_efficient(inst, consent, m)
-            assert verdict == is_constrained_efficient_reference(inst, consent, m)
-            verdicts.add(verdict)
+        monkeypatch.setattr(_references, "enumerate_assignments", lambda _: universe)
+        for consent in (None, random_consent(rng, inst)):
+            for m in universe:
+                verdict = is_constrained_efficient(inst, consent, m)
+                assert verdict == is_constrained_efficient_reference(inst, consent, m)
+                verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_efficiency_cap_bounds_the_dominating_assignments(ex5):
+    # nobody consents, so the assignments that dominate the outcome all
+    # violate a priority and the verdict needs every one of them
+    nobody = ConsentSet.of([])
+    m = rotate_remove_consent(ex5, nobody).assignment
+    universe = enumerate_assignments(ex5)
+    dominating = [m2 for m2 in universe if dominates(ex5, m2, m)]  # m among them
+    assert 2 < len(dominating) < len(universe)
+    assert is_constrained_efficient(ex5, nobody, m, cap=len(dominating))
+    with pytest.raises(OracleCapError, match=f"exceeds cap={len(dominating) - 1} "):
+        is_constrained_efficient(ex5, nobody, m, cap=len(dominating) - 1)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The instances whose universe is built while the test runs, from an
+    empty memo."""
+    built = []
+    build = _Universe.build
+
+    def counting(inst, cap):
+        built.append(inst)
+        return build(inst, cap)
+
+    _universe.cache_clear()
+    monkeypatch.setattr(_Universe, "build", counting)
+    yield built
+    _universe.cache_clear()
+
+
+def test_fixed_point_then_verify_builds_one_universe(builds, ex9):
+    legal, _ = legal_fixed_point(ex9)
+    assert verify_legal_property(ex9, legal).ok
+    assert builds == [ex9]
+
+
+def test_memo_hits_equal_instances_and_misses_the_subinstance(builds, ex1):
+    legal, _ = legal_fixed_point(ex1)
+    copy = parse_instance(ex1.to_text())
+    assert copy is not ex1
+    assert verify_legal_property(copy, legal).ok
+    assert len(builds) == 1
+    sub = legal_subinstance(ex1).instance
+    assert set(enumerate_stable(sub)) == set(legal)
+    assert builds == [ex1, sub]
+
+
+def test_smaller_cap_after_a_memo_hit_still_raises(builds, ex9):
+    size = len(enumerate_assignments(ex9))
+    with pytest.raises(OracleCapError) as direct:
+        enumerate_assignments(ex9, cap=size - 1)
+    legal_fixed_point(ex9)
+    with pytest.raises(OracleCapError) as memo:
+        legal_fixed_point(ex9, cap=size - 1)
+    assert str(memo.value) == str(direct.value)
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    *(["oracle", "verify", "--input", str(fixture_path(f"ex{k}.inst"))] for k in (1, 3, 9)),
+    ["latin", "count", "--input", str(fixture_path("ex9.matrix"))],
+])
+def test_cli_builds_one_universe_per_market(builds, argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert len(builds) == 1
 
 
 def _reordered(m: Assignment) -> Assignment:

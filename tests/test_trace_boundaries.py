@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from legalassign import cli, fixture_path
+from legalassign import cli, enumerate_assignments, fixture_path
+from legalassign.oracle import _universe
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -67,3 +68,20 @@ def test_traced_solve_crosses_the_patched_names(spans, mechanism):
         assert cli.main(argv) == 0
     tracer.settle()  # the describe hooks read the results and call arguments
     assert {(s.name, s.attrs.get("mode")) for s in tracer.spans} == COMMON | EXPECTED[mechanism]
+
+
+def test_traced_round_counts_the_market_universe_once(spans, tmp_path):
+    # the oracle's universe is counted through the patched enumeration
+    # under the fixed point; an oracle that builds it some other way, or
+    # finds it already built, would read 0 here
+    workloads = importlib.import_module("workloads")
+    spec = workloads.WORKLOADS["small-differential"]
+    market = workloads._write_market(spec.configs(0)[0], spec.consent_rate, tmp_path, 0,
+                                     workloads.NULL)
+    ledger = workloads.Ledger(tmp_path, "small-differential", 0, {})
+    tracer = spans.Tracer()
+    _universe.cache_clear()
+    workloads.market_round(1, market, None, tmp_path, tracer, ledger, True)
+    assert ledger.attempted > 0 and not ledger.failures
+    counts = spans.layer_counts(tracer.spans, market.n_edges)
+    assert counts["oracle.universe_size"] == len(enumerate_assignments(market.inst))
