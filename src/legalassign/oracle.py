@@ -6,22 +6,25 @@ solvers.  It reads an instance only through its preference lists and quotas,
 never through the cross-rank tables the solvers use.  The differential test
 suites treat its answers as authoritative.
 
-One universe per market: ``legal_fixed_point``, ``verify_legal_property``
-and ``enumerate_stable`` share a one-slot memo of the enumerated universe,
-keyed by the instance (compared by its tables) and the cap, so checking a
-market's legal set right after computing it enumerates the market once.
-``is_constrained_efficient`` does not enumerate the universe at all: it
-backtracks only over the assignments in which every student holds an
-option it weakly prefers to its option in m.
+One index-level backtracking core keeps each assignment as its students'
+option indices (a position on the student's list, or unmatched); an
+assignment is named only when read, and the universe's bitmasks are
+derived only once the enumeration has passed its cap.  One universe per
+market: ``legal_fixed_point``, ``verify_legal_property`` and
+``enumerate_stable`` share a one-slot memo of it, keyed by the instance
+(compared by its tables) and the cap.  ``is_constrained_efficient`` walks
+only the assignments in which every student holds an option it weakly
+prefers to its option in m.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, compress, repeat
 from operator import or_
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .eadam import ConsentSet, _consent_flags
 from .model import Assignment, Instance
@@ -33,70 +36,111 @@ class OracleCapError(RuntimeError):
     """Raised when an enumeration would exceed its cap."""
 
 
-def _size_estimate(options: Sequence[Sequence[str | None]]) -> str:
+def _size_estimate(counts: Sequence[int]) -> str:
     """The product of the option counts over the students: exact below
     10^15, else the nearest power of ten, so that the text stays short at
     any market size."""
-    counts = list(map(len, options))
     digits = sum(map(math.log10, counts))
     return str(math.prod(counts)) if digits < 15 else f"about 10^{round(digits)}"
 
 
-def enumerate_assignments(inst: Instance, cap: int = DEFAULT_CAP) -> list[Assignment]:
-    """All assignments (students may stay unmatched), deterministic order.
-
-    Backtracks over students in instance order; each student tries his
-    schools in preference order, then None.  Raises OracleCapError once more
-    than ``cap`` assignments have been produced.
-    """
-    return list(_backtrack(inst, [inst.student_prefs[a] + (None,) for a in inst.students],
-                           cap))
-
-
-def _backtrack(inst: Instance, options: Sequence[Sequence[str | None]],
-               cap: int) -> Iterator[Assignment]:
-    """The assignments in which each student holds one of its ``options``,
-    within the quotas, in backtracking order: students in instance order,
-    each trying its options in the order given.  Raises OracleCapError
-    when asked for more than ``cap``.  The backtracking keeps one
-    iterator over each placed student's remaining options on a stack, so
-    the depth of a market is not bounded by Python's recursion limit.
-    """
-    students = inst.students
-    n = len(students)
-    free = {b: inst.quota_of(b) for b in inst.schools}
+def _walk(inst: Instance, limits: Sequence[int], cap: int) -> Iterator[tuple[int, ...]]:
+    """The assignments within the quotas in which each student i holds one
+    of its first ``limits[i]`` options, in backtracking (lexicographic)
+    order of their option indices; option r is ``row[r]``, or unmatched
+    for r == len(row).  Raises OracleCapError when asked for more than
+    ``cap``.  No recursion, so the market's depth is not bounded by
+    Python's recursion limit."""
+    rows = inst._s_pref
+    n = len(rows)
+    free = list(inst._quota)
+    pos = [-1] * n  # -1: the student has not tried an option yet
     produced = 0
-    match: dict[str, str | None] = {}
-    stack: list[Iterator[str | None]] = []
-    while True:
-        if len(stack) < n:
-            stack.append(iter(options[len(stack)]))
-        else:
+    d = 0  # the student to move next
+    while d >= 0:
+        if d == n:
             if produced >= cap:
                 raise OracleCapError(
                     f"assignment enumeration exceeds cap={cap} "
-                    f"(upper bound {_size_estimate(options)})")
+                    f"(upper bound {_size_estimate(limits)})")
             produced += 1
-            yield Assignment(match)
-        # move the deepest student that has an option left to that option
-        while stack:
-            a = students[len(stack) - 1]
-            b = match.get(a)
-            if b is not None:
-                free[b] += 1
-            for b in stack[-1]:
-                if b is None or free[b] > 0:
-                    break
-            else:
-                stack.pop()
-                match[a] = None
-                continue
-            if b is not None:
-                free[b] -= 1
-            match[a] = b
-            break
+            yield tuple(pos)
+            d -= 1
+            continue
+        # move student d to its next option with a seat, or back up past it
+        row = rows[d]
+        k = len(row)
+        r = pos[d]
+        if 0 <= r < k:
+            free[row[r]] += 1
+        r += 1
+        while r < k and not free[row[r]]:
+            r += 1
+        if r < limits[d]:
+            if r < k:
+                free[row[r]] -= 1
+            pos[d] = r
+            d += 1
         else:
-            return
+            pos[d] = -1
+            d -= 1
+
+
+def _option_names(inst: Instance) -> list[tuple[str | None, ...]]:
+    """Per student, its options by index: its schools, then None."""
+    return [inst.student_prefs[a] + (None,) for a in inst.students]
+
+
+def _name(students: Sequence[str], options: Sequence[tuple[str | None, ...]],
+          leaf: tuple[int, ...]) -> Assignment:
+    return Assignment(dict(zip(students, map(tuple.__getitem__, options, leaf))))
+
+
+class _Assignments(Sequence[Assignment]):
+    """A read-only sequence of assignments kept as option indices
+    (``leaves``); each assignment is named on its first read and cached."""
+
+    def __init__(self, inst: Instance, leaves: list[tuple[int, ...]]):
+        self.leaves = leaves
+        self._students = inst.students
+        self._options = _option_names(inst)
+        self._named: list[Assignment | None] = [None] * len(leaves)
+
+    def __len__(self) -> int:
+        return len(self.leaves)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        m = self._named[i]
+        if m is None:
+            m = self._named[i] = _name(self._students, self._options, self.leaves[i])
+        return m
+
+    def find(self, m: Assignment) -> int | None:
+        """The index of m by its per-student schools, by binary search over
+        the sorted leaves; None if m is not among the assignments."""
+        match = m.mapping
+        try:
+            leaf = tuple(map(tuple.index, self._options,
+                             map(match.pop, self._students, repeat(None))))
+        except ValueError:
+            return None
+        if any(b is not None for b in match.values()):
+            return None
+        i = bisect_left(self.leaves, leaf)
+        return i if i < len(self.leaves) and self.leaves[i] == leaf else None
+
+
+def enumerate_assignments(inst: Instance, cap: int = DEFAULT_CAP) -> Sequence[Assignment]:
+    """All assignments (students may stay unmatched), deterministic order.
+
+    Backtracks over students in instance order; each student tries its
+    schools in preference order, then None.  Raises OracleCapError once more
+    than ``cap`` assignments have been produced.  The read-only sequence
+    returned keeps option indices and names each assignment when first read.
+    """
+    return _Assignments(inst, list(_walk(inst, [len(row) + 1 for row in inst._s_pref], cap)))
 
 
 @dataclass
@@ -113,18 +157,16 @@ class _Universe:
     m(a) and b admits a, that is, b has a free seat or ranks a above its
     worst member.  So ``blocked_by`` is the union of the students' "prefers"
     masks intersected with the union of the schools' "admits" masks, and
-    ``build`` never looks at an edge on its own.  Each student's options
-    (a school on its list, or ``None``) map to a code of three disjoint
-    fields: the option's own-edge bit, the mask of edges the student
-    prefers to it, and the seat bit it fills on the school side (the
-    school's offset plus the student's rank there).  No two students share
-    a bit, so the sum of the codes is the union of each field; a school's
-    members are the set bits of its slice of the seat field.
+    ``build`` never looks at an edge on its own.  Each student's options,
+    by option index, map to a code of three disjoint fields: the option's
+    own-edge bit, the mask of edges the student prefers to it, and the seat
+    bit it fills on the school side (the school's offset plus the student's
+    rank there).  No two students share a bit, so the sum of the codes is
+    the union of each field; a school's members are the set bits of its
+    slice of the seat field.
     """
 
-    inst: Instance
-    assignments: list[Assignment]
-    codes: list[dict[str | None, int]]  # per student: option -> code
+    assignments: _Assignments
     own: list[int]
     blocked_by: list[int]
 
@@ -136,14 +178,12 @@ class _Universe:
         n_edges = s_off[-1]
         s_rank = [{j: r for r, j in enumerate(row)} for row in inst._s_pref]
         b_rank = [{i: c for c, i in enumerate(row)} for row in inst._b_pref]
-        schools = inst.schools
-        codes: list[dict[str | None, int]] = []
+        codes: list[list[int]] = []  # per student: option index -> code
         for i, (off, row) in enumerate(zip(s_off, inst._s_pref)):
-            code: dict[str | None, int] = {
-                schools[j]: ((1 << (off + r)) | (((1 << r) - 1) << (off + n_edges))
-                             | (1 << (2 * n_edges + b_off[j] + b_rank[j][i])))
-                for r, j in enumerate(row)}
-            code[None] = ((1 << len(row)) - 1) << (off + n_edges)
+            code = [(1 << (off + r)) | (((1 << r) - 1) << (off + n_edges))
+                    | (1 << (2 * n_edges + b_off[j] + b_rank[j][i]))
+                    for r, j in enumerate(row)]
+            code.append(((1 << len(row)) - 1) << (off + n_edges))
             codes.append(code)
         # per school: (seat offset, seat-field mask, quota, admit masks), where
         # admit[w] holds the edges of its first w students and admit[-1] all
@@ -155,11 +195,10 @@ class _Universe:
             admits.append((off, (1 << len(row)) - 1, q, admit))
 
         edge_field = (1 << n_edges) - 1
-        students = inst.students
         own: list[int] = []
         blocked: list[int] = []
-        for m in assignments:
-            total = sum(map(dict.__getitem__, codes, map(m._match.__getitem__, students)))
+        for leaf in assignments.leaves:
+            total = sum(map(list.__getitem__, codes, leaf))
             seats = total >> 2 * n_edges
             admitted = 0
             for off, field, q, admit in admits:
@@ -168,20 +207,11 @@ class _Universe:
                 admitted |= admit[-1] if members.bit_count() < q else admit[members.bit_length() - 1]
             own.append(total & edge_field)
             blocked.append((total >> n_edges) & admitted)
-        return cls(inst, assignments, codes, own, blocked)
+        return cls(assignments, own, blocked)
 
-    def own_of(self, m: Assignment) -> int | None:
-        """m's own mask by its per-student schools; None if m names a
-        student or an edge outside the instance."""
-        match = m.mapping
-        try:
-            total = sum(map(dict.__getitem__, self.codes,
-                            map(match.pop, self.inst.students, repeat(None))))
-        except KeyError:
-            return None
-        if any(b is not None for b in match.values()):
-            return None
-        return total & ((1 << self.inst.n_edges) - 1)
+    def pick(self, keep: Iterable[bool]) -> list[Assignment]:
+        """The assignments whose flag in ``keep`` is set, named."""
+        return list(map(self.assignments.__getitem__, compress(range(len(self.own)), keep)))
 
     def union_mask(self, member: Sequence[bool]) -> int:
         return reduce(or_, compress(self.own, member), 0)
@@ -199,7 +229,7 @@ def _universe(inst: Instance, cap: int) -> _Universe:
 def enumerate_stable(inst: Instance, cap: int = DEFAULT_CAP) -> list[Assignment]:
     """All stable assignments (no edge blocks), deterministic order."""
     uni = _universe(inst, cap)
-    return [m for m, bm in zip(uni.assignments, uni.blocked_by) if bm == 0]
+    return uni.pick(bm == 0 for bm in uni.blocked_by)
 
 
 def legal_fixed_point(
@@ -215,7 +245,7 @@ def legal_fixed_point(
     uni = _universe(inst, cap)
     blocked = uni.blocked_by
     cur = [bm == 0 for bm in blocked]  # L0 = stable set
-    trace = [list(compress(uni.assignments, cur))]
+    levels = [cur]
     while True:
         u_cur = uni.union_mask(cur)
         survivors = [bm & u_cur == 0 for bm in blocked]  # not blocked by L
@@ -224,7 +254,8 @@ def legal_fixed_point(
         if nxt == cur:
             break
         cur = nxt
-        trace.append(list(compress(uni.assignments, cur)))
+        levels.append(cur)
+    trace = list(map(uni.pick, levels))
     return trace[-1], trace
 
 
@@ -247,10 +278,9 @@ def verify_legal_property(
     blocked by some member.  Returns the first witness found on failure.
     """
     uni = _universe(inst, cap)
-    index = dict(zip(uni.own, range(len(uni.own))))
-    member = [False] * len(uni.assignments)
+    member = [False] * len(uni.own)
     for m in candidate:
-        i = index.get(uni.own_of(m))
+        i = uni.assignments.find(m)
         if i is None:
             raise ValueError(f"candidate contains an assignment outside the universe: {m!r}")
         member[i] = True
@@ -279,29 +309,33 @@ def _violated_priority(inst: Instance, m: Assignment, a: str) -> bool:
     return False
 
 
+def _dominating(inst: Instance, m: Assignment, cap: int) -> Iterator[tuple[int, ...]]:
+    """The option indices of the assignments that dominate m: every student
+    holds an option it weakly prefers to its option in m, and (preferences
+    being strict) they differ from m.  ``cap`` bounds them and m together."""
+    students = inst.students
+    schools = list(map(m.school_of, students))
+    here = tuple(len(row) if b is None else inst.student_rank(a, b)
+                 for a, row, b in zip(students, inst._s_pref, schools))
+    return (leaf for leaf in _walk(inst, [r + 1 for r in here], cap) if leaf != here)
+
+
 def is_constrained_efficient(inst: Instance, consent: ConsentSet | None,
                              m: Assignment, cap: int = DEFAULT_CAP) -> bool:
     """True iff m respects every nonconsenting student's priority and every
-    assignment the students strictly prefer violates one.  Enumerates the
-    assignments in which every student holds an option it weakly prefers to
-    its option in m, so this is a test oracle for small instances only.
-    ``cap`` bounds the number of those assignments it enumerates, not the
-    size of the whole universe."""
+    assignment the students strictly prefer violates one.  The enumeration's
+    core walks the assignments in which every student holds an option it
+    weakly prefers to its option in m, so this is a test oracle for small
+    instances only.  ``cap`` bounds the number of those assignments it
+    enumerates, not the size of the whole universe."""
     flags = _consent_flags(inst, consent)
     refusing = [a for i, a in enumerate(inst.students) if not flags[i]]
     if any(_violated_priority(inst, m, a) for a in refusing):
         return False
     students = inst.students
-    here = tuple(map(m.school_of, students))
-    # per student: the options it weakly prefers to its school in m, in its order
-    better = []
-    for a, b in zip(students, here):
-        row = inst.student_prefs[a]
-        better.append(row + (None,) if b is None else row[:inst.student_rank(a, b) + 1])
-    for m2 in _backtrack(inst, better, cap):
-        # strict preferences: m2 strictly dominates m iff it weakly does and differs
-        if tuple(map(m2._match.__getitem__, students)) == here:
-            continue
+    options = _option_names(inst)
+    for leaf in _dominating(inst, m, cap):
+        m2 = _name(students, options, leaf)
         if not any(_violated_priority(inst, m2, a) for a in refusing):
             return False
     return True

@@ -8,7 +8,9 @@ eliminations through named agents.  The digraph-rebuilding references
 rebuild that digraph from scratch at every step, so they are slow and only
 meant for small markets.  The legal-subinstance one assembles the report
 from named edges.  The oracle ones test every edge against every
-assignment, the masks through the naive blocking predicate.  The parser
+assignment, the masks through the naive blocking predicate, and the
+name-level enumeration backtracks over school names and builds a name dict
+for every assignment.  The parser
 keeps every row as names and leaves all checks to the name-level
 constructor.  `assemble_instance` stores index tables unchecked, for tests
 that hand over cross ranks of their own.
@@ -16,11 +18,12 @@ that hand over cross ranks of their own.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import not_
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from legalassign import (Assignment, ConsentSet, Counters, Instance,
                          InvalidInstanceError, ParseError, all_rotations, dominates,
@@ -28,7 +31,8 @@ from legalassign import (Assignment, ConsentSet, Counters, Instance,
 from legalassign.eadam import _consent_flags
 from legalassign.engine import ENUMERATE, school_side_run, student_side_run
 from legalassign.model import SCHOOLS, STUDENTS, _check_side
-from legalassign.oracle import _violated_priority, enumerate_assignments
+from legalassign.oracle import (DEFAULT_CAP, OracleCapError, _violated_priority,
+                               enumerate_assignments)
 from legalassign.rotations import Rotation
 
 
@@ -415,6 +419,82 @@ def assemble_instance(students, schools, quota, s_pref, b_pref, s_srank,
     inst._b_rrank = b_rrank
     inst._n_edges = sum(len(r) for r in s_pref)
     return inst
+
+
+def _size_estimate(options: Sequence[Sequence[str | None]]) -> str:
+    """The product of the option counts over the students: exact below
+    10^15, else the nearest power of ten, so that the text stays short at
+    any market size."""
+    counts = list(map(len, options))
+    digits = sum(map(math.log10, counts))
+    return str(math.prod(counts)) if digits < 15 else f"about 10^{round(digits)}"
+
+
+def _backtrack(inst: Instance, options: Sequence[Sequence[str | None]],
+               cap: int) -> Iterator[Assignment]:
+    """The assignments in which each student holds one of its ``options``,
+    within the quotas, in backtracking order: students in instance order,
+    each trying its options in the order given.  Raises OracleCapError
+    when asked for more than ``cap``.  The backtracking keeps one
+    iterator over each placed student's remaining options on a stack, so
+    the depth of a market is not bounded by Python's recursion limit.
+    """
+    students = inst.students
+    n = len(students)
+    free = {b: inst.quota_of(b) for b in inst.schools}
+    produced = 0
+    match: dict[str, str | None] = {}
+    stack: list[Iterator[str | None]] = []
+    while True:
+        if len(stack) < n:
+            stack.append(iter(options[len(stack)]))
+        else:
+            if produced >= cap:
+                raise OracleCapError(
+                    f"assignment enumeration exceeds cap={cap} "
+                    f"(upper bound {_size_estimate(options)})")
+            produced += 1
+            yield Assignment(match)
+        # move the deepest student that has an option left to that option
+        while stack:
+            a = students[len(stack) - 1]
+            b = match.get(a)
+            if b is not None:
+                free[b] += 1
+            for b in stack[-1]:
+                if b is None or free[b] > 0:
+                    break
+            else:
+                stack.pop()
+                match[a] = None
+                continue
+            if b is not None:
+                free[b] -= 1
+            match[a] = b
+            break
+        else:
+            return
+
+
+def enumerate_assignments_reference(inst: Instance, cap: int = DEFAULT_CAP) -> list[Assignment]:
+    """enumerate_assignments by name-level backtracking."""
+    return list(_backtrack(inst, [inst.student_prefs[a] + (None,) for a in inst.students],
+                           cap))
+
+
+def dominating_reference(inst: Instance, m: Assignment,
+                         cap: int = DEFAULT_CAP) -> Iterator[Assignment]:
+    """The assignments is_constrained_efficient tests, by name-level
+    backtracking: every student holds an option it weakly prefers to its
+    school in m, and some student holds another school than in m."""
+    students = inst.students
+    here = tuple(map(m.school_of, students))
+    better = []
+    for a, b in zip(students, here):
+        row = inst.student_prefs[a]
+        better.append(row + (None,) if b is None else row[:inst.student_rank(a, b) + 1])
+    return (m2 for m2 in _backtrack(inst, better, cap)
+            if tuple(map(m2._match.__getitem__, students)) != here)
 
 
 def universe_masks_reference(inst: Instance,

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import random
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -16,12 +17,14 @@ from legalassign import (Assignment, ConsentSet, GenConfig, OracleCapError,
                          fixture_path, generate, gs_school, gs_student,
                          instance_from_latin, is_constrained_efficient, is_stable,
                          legal_fixed_point, legal_subinstance, parse_instance,
-                         parse_latin, rotate_remove_consent, verify_legal_property)
-from legalassign.oracle import _universe, _Universe
+                         parse_latin, rotate_remove_consent, verify_legal_property,
+                         xor_latin)
+from legalassign.oracle import _Assignments, _dominating, _universe, _Universe
 
 from _markets import random_consent, random_market
 import _references
-from _references import (assemble_instance, blocks, is_blocking_pair,
+from _references import (assemble_instance, blocks, dominating_reference,
+                         enumerate_assignments_reference, is_blocking_pair,
                          is_constrained_efficient_reference, is_maximal, optimal_in,
                          universe_masks_reference)
 
@@ -191,6 +194,74 @@ def _named_markets():
 NAMED = _named_markets()
 
 
+def _items(assignments) -> list[tuple[tuple[str, str | None], ...]]:
+    """Each assignment's (student, school) items in its own order."""
+    return [tuple(m.mapping.items()) for m in assignments]
+
+
+def _cap_message(enumerate_all) -> str:
+    with pytest.raises(OracleCapError) as exc:
+        enumerate_all()
+    return str(exc.value)
+
+
+def _assert_enumeration_matches_reference(inst):
+    # assignments are named from option indices, so the mask tests below
+    # read them through this name-level reference
+    expected = enumerate_assignments_reference(inst)
+    got = enumerate_assignments(inst)
+    assert len(got) == len(expected)
+    assert _items(got) == _items(expected)
+    cap = len(expected) - 1
+    assert (_cap_message(lambda: enumerate_assignments(inst, cap))
+            == _cap_message(lambda: enumerate_assignments_reference(inst, cap)))
+
+
+def _assert_dominating_matches_reference(inst, m):
+    expected = list(dominating_reference(inst, m))
+    got = _Assignments(inst, list(_dominating(inst, m, len(expected) + 1)))
+    assert _items(got) == _items(expected)
+    cap = len(expected)  # m itself counts against the cap
+    assert (_cap_message(lambda: list(_dominating(inst, m, cap)))
+            == _cap_message(lambda: list(dominating_reference(inst, m, cap))))
+
+
+REFERENCE_MARKETS = {**{f"ex{k}": NAMED[f"ex{k}"] for k in range(1, 10)},
+                     "xor4": instance_from_latin(xor_latin(4))}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MARKETS))
+def test_enumeration_matches_the_name_level_reference(name):
+    inst = REFERENCE_MARKETS[name]
+    _assert_enumeration_matches_reference(inst)
+    for m in enumerate_assignments(inst)[::11]:
+        _assert_dominating_matches_reference(inst, m)
+
+
+def test_enumeration_matches_the_name_level_reference_on_random_markets():
+    for seed in range(300):
+        inst = random_market(random.Random(seed))
+        _assert_enumeration_matches_reference(inst)
+        for m in enumerate_assignments(inst)[::29]:
+            _assert_dominating_matches_reference(inst, m)
+
+
+def test_cap_error_comes_before_the_masks_on_a_large_market():
+    # the cap is checked on option indices, before any assignment is named
+    # or any mask is derived, so tripping it stays small
+    inst = generate(GenConfig(1200, 10, seed=0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleCapError) as exc:
+            legal_fixed_point(inst, cap=500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "assignment enumeration exceeds cap=500 (upper bound about 10^1250)"
+    # half of the 13.5 MB peak of keeping a name dict per assignment here
+    assert peak < 6_750_000
+
+
 def _assert_masks_match_reference(inst):
     uni = _Universe.build(inst)
     assert (uni.own, uni.blocked_by) == universe_masks_reference(inst, uni.assignments)
@@ -253,7 +324,7 @@ def test_constrained_efficiency_matches_reference(monkeypatch):
     for seed in range(300):
         rng = random.Random(seed)
         inst = random_market(rng)
-        universe = enumerate_assignments(inst)
+        universe = list(enumerate_assignments(inst))
         monkeypatch.setattr(_references, "enumerate_assignments", lambda _: universe)
         for consent in (None, random_consent(rng, inst)):
             for m in universe:
