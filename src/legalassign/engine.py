@@ -25,7 +25,8 @@ from functools import cached_property
 from typing import Sequence
 
 from .gs import Counters, _as_assignment, _gs_school_arrays, _gs_student_arrays
-from .model import Assignment, Instance, SCHOOLS, STUDENTS, _check_side
+from .model import (Assignment, Instance, SCHOOLS, STUDENTS, _check_side,
+                    _school_worst)
 from .rotations import Rotation, sigma
 
 _EMPTY = -1  # shared empty sink; also the "no student" marker in path entries
@@ -71,22 +72,6 @@ def _named_rotations(inst: Instance, side: str,
               else (inst.students, inst.schools))
     return tuple(Rotation(side, tuple([(xs[x], ys[y]) for x, y in rot]))
                  for rot in rotations)
-
-
-def _school_worst(inst: Instance, match_school: list[int],
-                  match_pos: list[int]) -> tuple[list[int], list[int]]:
-    """fill count and worst-member position (on the school's own list)."""
-    fill = [0] * inst.n_schools
-    worst = [-1] * inst.n_schools
-    s_srank = inst._s_srank
-    for a, b in enumerate(match_school):
-        if b < 0:
-            continue
-        fill[b] += 1
-        r = s_srank[a][match_pos[a]]
-        if r > worst[b]:
-            worst[b] = r
-    return fill, worst
 
 
 def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[int],

@@ -78,7 +78,7 @@ def _gs_core(s_pref: list[list[int]], s_srank: list[list[int]],
     ptr = [0] * n_a
     fill = [0] * n_b
     worst = [-1] * n_b                      # list position of worst tentative student
-    held = [None] * n_b                     # lazily allocated position-flag arrays
+    held = [bytearray(len(row)) for row in b_pref]  # per school: tentative list positions
     proposals = 0
     cells = 0
 
@@ -95,8 +95,6 @@ def _gs_core(s_pref: list[list[int]], s_srank: list[list[int]],
             rank = cranks[pos]
             proposals += 1
             flags = held[b]
-            if flags is None:
-                flags = held[b] = bytearray(len(b_pref[b]))
             if fill[b] < quota[b]:
                 flags[rank] = 1
                 fill[b] += 1

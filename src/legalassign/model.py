@@ -5,6 +5,10 @@ ranks a subset of the other side (strict order, most preferred first), school
 ``b`` additionally has a seat quota ``q_b >= 1``.  Adjacency is symmetric:
 ``b`` appears on ``a``'s list iff ``a`` appears on ``b``'s.  Being unmatched
 is always an agent's least preferred outcome.
+
+Each job is done in one place: `_resolve` turns a row of names into agent
+indices for the constructor and the parser alike, and `_school_worst`
+gives each school's fill and worst member to `blocking_pairs` and the walks.
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Container, Iterator, Mapping, Sequence
+from typing import Container, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -44,22 +48,15 @@ def _check_side(side: str) -> None:
 _IDENTIFIER = re.compile(r"[^\s#:\[\]]+")
 
 
-def _index_rows(owners: Sequence[str], prefs: Mapping[str, Sequence[str]],
-                index: Mapping[str, int]) -> list[list[int]] | None:
-    """Each owner's name row as an index row; None once a name is unknown."""
-    get = index.__getitem__
+def _resolve(owner: str, names: Sequence[str], index: Mapping[str, int],
+             unresolved: set[str]) -> list:
+    """The index row of ``owner``'s names; if one is unknown, the names
+    themselves, with ``owner`` added to ``unresolved``."""
     try:
-        return [list(map(get, prefs.get(x, ()))) for x in owners]
+        return list(map(index.__getitem__, names))
     except KeyError:
-        return None
-
-
-def _named(owners: Sequence[str], others: Sequence[str], rows: list[list],
-           unresolved: Container[str]) -> dict[str, list[str]]:
-    """The name lists of index rows; the row of an owner in ``unresolved``
-    kept its names."""
-    return {x: row if x in unresolved else [others[i] for i in row]
-            for x, row in zip(owners, rows)}
+        unresolved.add(owner)
+        return list(names)
 
 
 #: Edge count from which `Instance` joins the cross ranks by sorting.  Below
@@ -148,10 +145,11 @@ class Instance:
 
     Every construction, from name lists, from a file or from index rows,
     validates all structural invariants at index level: it checks the
-    rosters and quotas, resolves each row to agent indices, then
-    joins the two sides' cells into cross ranks, which also finds a
-    repeated agent and checks that adjacency is symmetric.  On a fault, one
-    ordered search over the name lists raises the first one.
+    rosters and quotas, resolves each row to agent indices (one resolver
+    serves the constructor and the parser), then joins the two sides'
+    cells into cross ranks, which also finds a repeated agent and checks
+    that adjacency is symmetric.  On a fault, one ordered search over the
+    rows raises the first one; it resolves only rows that kept a name.
     Identifiers are opaque strings that the file format can write back:
     non-empty, free of whitespace and of the characters ``#:[]``, and
     neither ``students`` nor ``schools``.  Internally agents are densely
@@ -176,16 +174,17 @@ class Instance:
     ):
         self._set_rosters(students, schools)
         self._check_rosters(quota)
-        for a in student_prefs:
-            if a not in self._s_index:
-                raise InvalidInstanceError(f"preference list for unknown student {a!r}")
-        for b in school_prefs:
-            if b not in self._b_index:
-                raise InvalidInstanceError(f"preference list for unknown school {b!r}")
-        s_pref = _index_rows(self._students, student_prefs, self._b_index)
-        b_pref = _index_rows(self._schools, school_prefs, self._s_index)
-        if s_pref is None or b_pref is None or not self._set_rows(s_pref, b_pref):
-            self._raise_first_fault(student_prefs, school_prefs)
+        for kind, prefs, index in (("student", student_prefs, self._s_index),
+                                   ("school", school_prefs, self._b_index)):
+            for x in prefs:
+                if x not in index:
+                    raise InvalidInstanceError(f"preference list for unknown {kind} {x!r}")
+        unresolved: set[str] = set()
+        self._set_rows(
+            [_resolve(a, student_prefs.get(a, ()), self._b_index, unresolved)
+             for a in self._students],
+            [_resolve(b, school_prefs.get(b, ()), self._s_index, unresolved)
+             for b in self._schools], unresolved)
 
     @classmethod
     def _from_rows(cls, students: Sequence[str], schools: Sequence[str],
@@ -195,7 +194,8 @@ class Instance:
         file.  Each row holds indices into the other side's roster."""
         inst = cls.__new__(cls)
         inst._set_rosters(students, schools)
-        inst._check_and_join(quota, s_pref, b_pref)
+        inst._check_rosters(quota)
+        inst._set_rows(s_pref, b_pref)
         return inst
 
     def _set_rosters(self, students: Sequence[str], schools: Sequence[str]) -> None:
@@ -234,57 +234,47 @@ class Instance:
                 raise InvalidInstanceError(f"quota given for unknown school {b!r}")
         self._quota = tuple(quotas)
 
-    def _set_rows(self, s_pref: list[list[int]], b_pref: list[list[int]]) -> bool:
-        """Join the index rows into cross ranks and store them; False on a
-        repeat or an asymmetry, which leaves the rows unstored."""
+    def _set_rows(self, s_pref: list[list], b_pref: list[list],
+                  unresolved: Container[str] = ()) -> None:
+        """Join the index rows into cross ranks and store them.  The row of
+        an owner in ``unresolved`` kept its names.  On such a row, a repeat
+        or an asymmetry, the fault finder raises the first fault."""
         n_edges = sum(map(len, s_pref))
-        if sum(map(len, b_pref)) != n_edges:
-            return False
-        joined = (_sort_join(s_pref, b_pref, len(self._schools), n_edges)
-                  if n_edges >= _SORT_JOIN_MIN_EDGES else _dict_join(s_pref, b_pref))
+        joined = None
+        if not unresolved and sum(map(len, b_pref)) == n_edges:
+            joined = (_sort_join(s_pref, b_pref, len(self._schools), n_edges)
+                      if n_edges >= _SORT_JOIN_MIN_EDGES else _dict_join(s_pref, b_pref))
         if joined is None:
-            return False
+            self._raise_first_fault(s_pref, b_pref, unresolved)
         self._s_pref = s_pref
         self._b_pref = b_pref
         self._s_srank, self._b_rrank = joined
         self._n_edges = n_edges
-        return True
 
-    def _check_and_join(self, quota: Mapping[str, int], s_pref: list[list],
-                        b_pref: list[list], unresolved: Container[str] = ()) -> None:
-        """Check the stored rosters and the quotas, then join the index rows.
-
-        The row of an owner in ``unresolved`` holds the names it was given,
-        one of them unknown.  On any fault the rows are named again, so the
-        fault finder raises the first one.
-        """
-        self._check_rosters(quota)
-        if unresolved or not self._set_rows(s_pref, b_pref):
-            self._raise_first_fault(_named(self._students, self._schools, s_pref, unresolved),
-                                    _named(self._schools, self._students, b_pref, unresolved))
-
-    def _raise_first_fault(self, student_prefs: Mapping[str, Sequence[str]],
-                           school_prefs: Mapping[str, Sequence[str]]) -> None:
+    def _raise_first_fault(self, s_pref: list[list], b_pref: list[list],
+                           unresolved: Container[str]) -> NoReturn:
         """Raise for the first fault of rows that ``_set_rows`` refused.
 
         Student rows are searched in roster order, then school rows: the
-        first unknown or repeated name of the first such row.  Then the
-        first student cell whose school does not list it, then the first
-        such school cell.
+        first unknown or repeated name of the first such row.  Only the rows
+        of owners in ``unresolved`` hold names, and only they are resolved.
+        Then the first student cell whose school does not list it, then the
+        first such school cell.
         """
-        sides = (("student", self._students, student_prefs, self._b_index, "school"),
-                 ("school", self._schools, school_prefs, self._s_index, "student"))
+        sides = (("student", self._students, s_pref, self._b_index, self._schools, "school"),
+                 ("school", self._schools, b_pref, self._s_index, self._students, "student"))
         rows = []
-        for kind, owners, prefs, index, listed in sides:
+        for kind, owners, given, index, others, listed in sides:
             side = []
-            for x in owners:
+            for x, cells in zip(owners, given):
+                named = x in unresolved
                 row, seen = [], set()
-                for y in prefs.get(x, ()):
-                    k = index.get(y)
+                for y in cells:
+                    k = index.get(y) if named else y
                     if k is None:
                         raise InvalidInstanceError(f"{kind} {x!r} ranks unknown {listed} {y!r}")
                     if k in seen:
-                        raise InvalidInstanceError(f"{kind} {x!r} ranks {listed} {y!r} twice")
+                        raise InvalidInstanceError(f"{kind} {x!r} ranks {listed} {others[k]!r} twice")
                     seen.add(k)
                     row.append(k)
                 side.append(row)
@@ -379,9 +369,6 @@ class Instance:
             raise ValueError(f"({a!r}, {b!r}) is not an edge")
         return r
 
-    def student_degree(self, a: str) -> int:
-        return len(self._s_pref[self._student_idx(a)])
-
     def to_text(self) -> str:
         """Serialize in the instance file format; round-trips via parse_instance."""
         lines = ["instance v1"]
@@ -474,32 +461,44 @@ class Assignment:
 
 # -- blocking and dominance -------------------------------------------------
 
+def _school_worst(inst: Instance, match_school: list[int],
+                  match_pos: list[int]) -> tuple[list[int], list[int]]:
+    """Each school's fill and its worst member's position on its own list
+    (-1 if none), given each student's school (-1 if none) and list position."""
+    fill = [0] * inst.n_schools
+    worst = [-1] * inst.n_schools
+    s_srank = inst._s_srank
+    for a, b in enumerate(match_school):
+        if b >= 0:
+            fill[b] += 1
+            r = s_srank[a][match_pos[a]]
+            if r > worst[b]:
+                worst[b] = r
+    return fill, worst
+
+
 def blocking_pairs(inst: Instance, m: Assignment) -> Iterator[tuple[str, str]]:
     """All edges that block m, in instance edge order.
 
     Index-level, in O(|E|) whatever the quotas: one pass finds each
-    student's school on its own list and each school's fill and worst
-    member; an edge above a student's school then blocks when the school
-    has a free seat or ranks the student above its worst member.
+    student's school on its own list, and `_school_worst`, the walks' pass,
+    gives each school's fill and worst member.  An edge above a student's
+    school blocks when the school has a free seat or ranks the student
+    above its worst member.  A school off the student's list, even an
+    empty one, raises ValueError; m may leave out a student with no list.
     """
-    rows = list(zip(inst._students, inst._s_pref, inst._s_srank))
-    fill = [0] * inst.n_schools
-    worst = [-1] * inst.n_schools  # the worst member's position on the school's list
-    cuts = []  # per student: its school's position on its own list, else its degree
-    for a, row, cranks in rows:
-        cur = m.school_of(a) if row else None
-        cut = len(row)
-        if cur is not None:
-            j = inst._school_idx(cur)
-            try:
-                cut = row.index(j)
-            except ValueError:
-                raise ValueError(f"({a!r}, {cur!r}) is not an edge") from None
-            fill[j] += 1
-            worst[j] = max(worst[j], cranks[cut])
-        cuts.append(cut)
+    match_school, match_pos = [], []
+    for a, row in zip(inst._students, inst._s_pref):
+        cur = m.school_of(a) if row or a in m else None
+        j = -1 if cur is None else inst._school_idx(cur)
+        try:
+            match_pos.append(len(row) if j < 0 else row.index(j))
+        except ValueError:
+            raise ValueError(f"({a!r}, {cur!r}) is not an edge") from None
+        match_school.append(j)
+    fill, worst = _school_worst(inst, match_school, match_pos)
     quota, schools = inst._quota, inst._schools
-    for (a, row, cranks), cut in zip(rows, cuts):
+    for a, row, cranks, cut in zip(inst._students, inst._s_pref, inst._s_srank, match_pos):
         for j, c in zip(row[:cut], cranks[:cut]):
             if fill[j] < quota[j] or c < worst[j]:
                 yield (a, schools[j])
@@ -532,10 +531,10 @@ def parse_instance(text: str) -> Instance:
     preference line per agent, most preferred first.  Agents without a line
     have an empty list.
 
-    Each preference line is resolved to agent indices as it is split, and
-    the index rows go to the same checks and join as in `Instance`.  A line
-    with an unknown name keeps its names; on any fault the rows are named
-    again, so the constructor's fault search raises its first fault.
+    Each preference line goes through the constructor's resolver as it is
+    split, and the rows go to the same checks and join as in `Instance`: a
+    line with an unknown name keeps its names, and on any fault the fault
+    finder resolves only those lines and raises the first fault.
     """
     students: list[str] | None = None
     schools: list[str] | None = None
@@ -603,11 +602,7 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(f"unknown identifier {name!r}", lineno)
         if rows[k] is not None:
             raise ParseError(f"duplicate preference line for {name!r}", lineno)
-        try:
-            rows[k] = list(map(index.__getitem__, rest.split()))
-        except KeyError:
-            rows[k] = rest.split()
-            unresolved.add(name)
+        rows[k] = _resolve(name, rest.split(), index, unresolved)
 
     if not header_seen:
         raise ParseError("missing header 'instance v1'", 1)
@@ -619,8 +614,9 @@ def parse_instance(text: str) -> Instance:
         inst._set_rosters(students, schools)
         s_rows, b_rows = [None] * len(students), [None] * len(schools)
     try:
-        inst._check_and_join(quota, [[] if row is None else row for row in s_rows],
-                             [[] if row is None else row for row in b_rows], unresolved)
+        inst._check_rosters(quota)
+        inst._set_rows([[] if row is None else row for row in s_rows],
+                       [[] if row is None else row for row in b_rows], unresolved)
     except InvalidInstanceError as e:
         raise ParseError(str(e)) from e
     return inst

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legalassign import (Counters, Instance, LegalSubinstanceReport, fixture_path,
-                         gs_student, legal_subinstance)
+                         gs_student, legal_subinstance, parse_instance, sample_consent)
 from legalassign.cli import main
 
 from _markets import random_market
@@ -352,3 +352,44 @@ def test_repeated_main_calls_carry_no_state(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", "--input", fx("ex3.inst"))
     assert (code, out) == (0, "ok: 6 students, 3 schools, 18 edges\n")
     assert run(capsys, *solve) == (0, text, "")
+
+
+@pytest.mark.parametrize("mechanism", ["eadam", "eadam-simplified", "eadam-fast"])
+def test_consent_rate_solves_like_the_sampled_consent_file(tmp_path, capsys, mechanism):
+    market = tmp_path / "market.inst"
+    assert run(capsys, "gen", "--students", "40", "--schools", "5", "--list-length", "3",
+               "--quota-lo", "2", "--quota-hi", "4", "--seed", "1",
+               "--output", str(market))[0] == 0
+    inst = parse_instance(market.read_text())
+    consent = sample_consent(inst, 0.5, 7).consenting
+    assert 0 < len(consent) < inst.n_students
+    consent_file = tmp_path / "consent.txt"
+    consent_file.write_text(" ".join(sorted(consent)) + "\n")
+    solve = ("solve", "--mechanism", mechanism, "--input", str(market),
+             "--format", "json", "--counters")
+    sampled = run(capsys, *solve, "--consent-rate", "0.5", "--seed", "7")
+    assert sampled == run(capsys, *solve, "--consent", str(consent_file))
+    assert sampled[0] == 0 and sampled[2].startswith("proposals=")
+    assert sampled != run(capsys, *solve)  # the partial consent changes the outcome
+
+
+def _without_wall_time(csv_text: str) -> list[list[str]]:
+    rows = [line.split(",") for line in csv_text.splitlines()]
+    k = rows[0].index("wall_time_ms")
+    return [row[:k] + row[k + 1:] for row in rows]
+
+
+def test_bench_output_file_holds_the_stdout_csv(tmp_path, capsys):
+    bench = ("bench", "--students", "20", "--schools", "3", "--seeds", "0,1",
+             "--mechanisms", "gs,legal-subgraph", "--consent-rates", "1.0")
+    code, stdout_csv, _ = run(capsys, *bench)
+    assert code == 0
+    target = tmp_path / "bench.csv"
+    assert run(capsys, *bench, "--output", str(target)) == (0, "", "")
+    assert _without_wall_time(target.read_text()) == _without_wall_time(stdout_csv)
+    assert len(_without_wall_time(stdout_csv)) == 5
+
+
+def test_bench_rejects_a_seed_list_without_integers(capsys):
+    assert run(capsys, "bench", "--students", "4", "--schools", "2", "--seeds", ",") == (
+        1, "", "error: --seeds needs at least one integer\n")

@@ -61,6 +61,14 @@ def test_comments_and_blank_lines_ignored(ex1):
     ("instance v1\nstudents: a\nschools: b\na: b b\n", None),
     ("instance v1\nstudents: a\nschools: b\na: b\n", "asymmetric"),
     ("instance v1\nstudents: a\nschools: b\nb: a\n", "asymmetric"),
+    ("instance v1\nstudents: a\nstudents: e\nschools: c\n", "line 3: duplicate students: line"),
+    ("instance v1\nstudents: a\nschools: c\na: c\nc: a\nstudents: e\n",
+     "line 6: duplicate students: line"),
+    ("students: a\nschools: c\n", "line 1: expected header 'instance v1'"),
+    ("", "line 1: missing header 'instance v1'"),
+    ("# only a comment\n\n", "line 1: missing header 'instance v1'"),
+    ("instance v1\nschools: c\n", "missing students: line"),
+    ("instance v1\nstudents: a\n", "missing schools: line"),
 ])
 def test_parse_rejects_malformed(text, fragment):
     with pytest.raises((ParseError, InvalidInstanceError)) as err:
@@ -111,6 +119,13 @@ def test_rejects_identifiers_the_format_cannot_write(students, schools):
     ({"a": ["c", "c"]}, {"c": ["a", "a"]}, "student 'a' ranks school 'c' twice"),
     ({"a": ["c"], "e": ["d"]}, {"c": ["a"], "d": ["e", "e"]},
      "school 'd' ranks student 'e' twice"),
+    ({"a": ["x", "c", "c"]}, {"c": ["a"]}, "student 'a' ranks unknown school 'x'"),
+    ({"a": ["c", "x", "c"]}, {"c": ["a"]}, "student 'a' ranks unknown school 'x'"),
+    ({"a": ["c"]}, {"c": ["a", "a", "x"]}, "school 'c' ranks student 'a' twice"),
+    ({"a": ["c"]}, {"c": ["x", "a", "a"]}, "school 'c' ranks unknown student 'x'"),
+    # a resolved row's repeat comes before a later row's unknown name
+    ({"a": ["c"], "e": ["d", "d"]}, {"c": ["x"], "d": ["e"]},
+     "student 'e' ranks school 'd' twice"),
 ])
 def test_validation_messages(s_prefs, b_prefs, message):
     args = (["a", "e"], ["c", "d"], {}, s_prefs, b_prefs)
@@ -155,6 +170,24 @@ def test_roster_faults_come_first(rosters, s_prefs, b_prefs, message):
         with pytest.raises(ParseError) as err:
             parse(text)
         assert str(err.value) == message
+
+
+# Faults the constructor finds before any row fault, and unknown names that
+# the file format cannot write.
+@pytest.mark.parametrize("quota, s_prefs, b_prefs, message", [
+    ({}, {"z": ["c"]}, {}, "preference list for unknown student 'z'"),
+    ({}, {}, {"z": ["a"]}, "preference list for unknown school 'z'"),
+    ({"z": 2}, {}, {}, "quota given for unknown school 'z'"),
+    ({"z": 2}, {"y": ["c"]}, {}, "quota given for unknown school 'z'"),
+    ({}, {"y": ["c"]}, {"z": ["a"]}, "preference list for unknown student 'y'"),
+    ({}, {"a": ["x"]}, {"z": ["a"]}, "preference list for unknown school 'z'"),
+    ({}, {"a": [0]}, {}, "student 'a' ranks unknown school 0"),
+    ({}, {"a": ["c"]}, {"c": [0]}, "school 'c' ranks unknown student 0"),
+])
+def test_constructor_fault_messages(quota, s_prefs, b_prefs, message):
+    with pytest.raises(InvalidInstanceError) as err:
+        Instance(["a", "e"], ["c", "d"], quota, s_prefs, b_prefs)
+    assert str(err.value) == message
 
 
 def test_text_round_trip(ex1, ex2, ex3):
@@ -367,6 +400,16 @@ def test_blocking_pairs_with_quotas_near_100():
         assert expected
         assert list(blocking_pairs(inst, m)) == expected
         assert not is_stable(inst, m)
+
+
+def test_blocking_pairs_reject_a_school_off_an_empty_list():
+    inst = Instance(["a1", "a2"], ["b1"], {}, {"a1": ["b1"]}, {"b1": ["a1"]})
+    with pytest.raises(ValueError, match=r"\('a2', 'b1'\) is not an edge"):
+        is_stable(inst, Assignment({"a1": "b1", "a2": "b1"}))
+    # a student with an empty list may be unmatched or left out
+    assert is_stable(inst, Assignment({"a1": "b1", "a2": None}))
+    assert is_stable(inst, Assignment({"a1": "b1"}))
+    assert list(blocking_pairs(inst, Assignment({"a1": None}))) == [("a1", "b1")]
 
 
 # -- the two cross-rank joins -------------------------------------------------
