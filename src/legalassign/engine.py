@@ -3,10 +3,13 @@
 Instead of materializing a rotation digraph per iteration, the solvers grow
 a single directed path, school (or student) by school, using per-agent scan
 positions that only move forward.  Reaching a sink deletes one edge and pops
-one path entry; closing a cycle eliminates the corresponding rotation and
-truncates the path.  Every preference cell is scanned at most once, plus one
-re-scan per eliminated rotation, so a full run costs O(|E|).  New paths start
-at the agents in roster order; the outputs do not depend on that order.
+one path entry.  On the student side in legal mode, a school with a free
+seat is a sink that needs no entry: the scan that reaches one deletes the
+edge and goes on.  Closing a cycle eliminates the corresponding rotation
+and truncates the path.  Every preference cell is scanned at most once,
+plus one re-scan per eliminated rotation, so a full run costs O(|E|).  New
+paths start at the agents in roster order; the outputs do not depend on
+that order.
 
 The modes of the walks:
   - legal:     rotate-remove; sinks delete illegal edges (finds legal optima)
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .gs import Counters, _as_assignment, _gs_school_arrays, _gs_student_arrays
+from .gs import (Counters, _MatchState, _as_assignment, _gs_school_arrays,
+                 _gs_student_arrays)
 from .model import (Assignment, Instance, SCHOOLS, STUDENTS, _check_side,
                     _school_worst)
 from .rotations import Rotation, sigma
@@ -44,7 +48,7 @@ class EngineRun:
     ``rotations`` and ``removed_edges`` name them on first access.
     """
     assignment: Assignment
-    counters: Counters                       # the initial solve plus the walk
+    counters: Counters                       # the initial solve (if run) plus the walk
     _inst: Instance
     _side: str                               # the side whose rotations were walked
     _match_pos: list[int]                    # per student: own-list position of its match
@@ -189,6 +193,9 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
     # an unmatched student stays unmatched: no school with a free seat lists
     # him (stability), and full schools only improve their worst member
     p = [match_pos[a] if match_school[a] >= 0 else deg[a] for a in range(n_a)]
+    # a school with a free seat is a sink; in legal mode the scan deletes
+    # the edge to it and goes on, with no path entry
+    settle_sinks = mode == LEGAL
     f = 0
     path_b: list[int] = []   # school arriving at each entry; _EMPTY at the head
     path_a: list[int] = []   # student of each entry; _EMPTY is the shared sink
@@ -239,10 +246,16 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
                 scans += pos - start - 1
                 break
             b = row_b[pos]
-            if under_quota[b] or row_r[pos] < worst[b]:
-                found = b
-                scans += pos - start
-                break
+            if under_quota[b]:
+                if settle_sinks:
+                    removed_a.append(tail)
+                    removed_b.append(b)
+                    continue
+            elif row_r[pos] >= worst[b]:
+                continue
+            found = b
+            scans += pos - start
+            break
         p[tail] = pos
         if found < 0:
             continue
@@ -286,11 +299,14 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
 
 
 def school_side_run(inst: Instance, *, mode: str = LEGAL,
-                    consenting: Sequence[bool] | None = None) -> EngineRun:
+                    consenting: Sequence[bool] | None = None,
+                    _start: _MatchState | None = None) -> EngineRun:
     """Walk school-rotations upward from the student-optimal stable assignment.
 
     legal climbs to the student-optimal legal assignment, consent to the
-    EADAM assignment for the given per-student consent flags.
+    EADAM assignment for the given per-student consent flags.  ``_start``
+    is that assignment already computed; the walk changes it in place and
+    counts no deferred-acceptance run.
     """
     if mode not in (LEGAL, CONSENT):
         raise ValueError(f"unknown mode {mode!r}")
@@ -299,21 +315,27 @@ def school_side_run(inst: Instance, *, mode: str = LEGAL,
     if consenting is not None and len(consenting) != inst.n_students:
         raise ValueError(f"consenting has {len(consenting)} flags "
                          f"for {inst.n_students} students")
-    state, gs_counters = _gs_student_arrays(inst)
+    state, gs_counters = _gs_student_arrays(inst) if _start is None else (_start, Counters())
     return _run_school_side(inst, state.match_school, state.match_pos,
                             consenting, gs_counters)
 
 
-def student_side_run(inst: Instance, *, mode: str = LEGAL) -> EngineRun:
+def student_side_run(inst: Instance, *, mode: str = LEGAL,
+                     _start: _MatchState | None = None) -> EngineRun:
     """Walk student-rotations downward; the mirror of school_side_run.
 
     legal starts at the school-optimal stable assignment and descends to the
     school-optimal legal assignment; enumerate starts at the student-optimal
-    one and reports every student-rotation on the way down.
+    one and reports every student-rotation on the way down, ending at the
+    school-optimal one.  ``_start`` is the mode's start assignment already
+    computed; the walk changes it in place and counts no deferred-acceptance
+    run.
     """
     if mode not in (LEGAL, ENUMERATE):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == ENUMERATE:
+    if _start is not None:
+        state, gs_counters = _start, Counters()
+    elif mode == ENUMERATE:
         state, gs_counters = _gs_student_arrays(inst)
     else:
         state, gs_counters = _gs_school_arrays(inst)

@@ -58,6 +58,9 @@ class _MatchState(NamedTuple):
     match_school: list[int]  # per student: school index or -1
     match_pos: list[int]     # per student: own-list position of match, len(list) if unmatched
 
+    def copy(self) -> _MatchState:
+        return _MatchState(self.match_school[:], self.match_pos[:])
+
 
 def _as_assignment(inst: Instance, match_school: Sequence[int]) -> Assignment:
     schools = inst.schools

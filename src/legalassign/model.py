@@ -50,11 +50,11 @@ _IDENTIFIER = re.compile(r"[^\s#:\[\]]+")
 
 def _resolve(owner: str, names: Sequence[str], index: Mapping[str, int],
              unresolved: set[str]) -> list:
-    """The index row of ``owner``'s names; if one is unknown, the names
-    themselves, with ``owner`` added to ``unresolved``."""
+    """The index row of ``owner``'s names; if one is unknown (or cannot be
+    a key), the names themselves, with ``owner`` added to ``unresolved``."""
     try:
         return list(map(index.__getitem__, names))
-    except KeyError:
+    except (KeyError, TypeError):
         unresolved.add(owner)
         return list(names)
 
@@ -176,9 +176,13 @@ class Instance:
         self._check_rosters(quota)
         for kind, prefs, index in (("student", student_prefs, self._s_index),
                                    ("school", school_prefs, self._b_index)):
-            for x in prefs:
+            for x, row in prefs.items():
                 if x not in index:
                     raise InvalidInstanceError(f"preference list for unknown {kind} {x!r}")
+                if isinstance(row, str):
+                    raise InvalidInstanceError(
+                        f"preference list of {kind} {x!r} is a string, {row!r}, "
+                        "not a sequence of names")
         unresolved: set[str] = set()
         self._set_rows(
             [_resolve(a, student_prefs.get(a, ()), self._b_index, unresolved)
@@ -270,7 +274,10 @@ class Instance:
                 named = x in unresolved
                 row, seen = [], set()
                 for y in cells:
-                    k = index.get(y) if named else y
+                    try:
+                        k = index.get(y) if named else y
+                    except TypeError:  # unhashable, so unknown
+                        k = None
                     if k is None:
                         raise InvalidInstanceError(f"{kind} {x!r} ranks unknown {listed} {y!r}")
                     if k in seen:
@@ -485,11 +492,16 @@ def blocking_pairs(inst: Instance, m: Assignment) -> Iterator[tuple[str, str]]:
     gives each school's fill and worst member.  An edge above a student's
     school blocks when the school has a free seat or ranks the student
     above its worst member.  A school off the student's list, even an
-    empty one, raises ValueError; m may leave out a student with no list.
+    empty one, raises ValueError; m may leave out a student with no list,
+    and leaving out any other student raises ValueError.
     """
     match_school, match_pos = [], []
     for a, row in zip(inst._students, inst._s_pref):
-        cur = m.school_of(a) if row or a in m else None
+        try:
+            cur = m.school_of(a) if row or a in m else None
+        except KeyError:
+            raise ValueError(f"the assignment leaves out student {a!r}, "
+                             "whose list is not empty") from None
         j = -1 if cur is None else inst._school_idx(cur)
         try:
             match_pos.append(len(row) if j < 0 else row.index(j))

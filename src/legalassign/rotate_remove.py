@@ -7,6 +7,11 @@ assignment down to the school-optimal legal one.  Gluing the two walks to the
 stable lattice in the middle yields every legal edge, hence the subinstance
 whose stable assignments are exactly the legal assignments.  The glue is one
 pointer per student, which each rotation of the chain moves down its list.
+
+The subinstance costs one deferred-acceptance run: eliminating every
+student-rotation from the student-optimal stable assignment ends at the
+school-optimal one (Gusfield & Irving 1989, ch. 3), so the downward walk
+starts where the middle enumeration ends.
 """
 from __future__ import annotations
 
@@ -15,6 +20,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator
 
+from . import engine
 from .engine import (ENUMERATE, LEGAL, EngineRun, _named_rotations, school_side_run,
                      student_side_run)
 from .gs import Counters
@@ -50,7 +56,7 @@ class LegalSubinstanceReport:
     """
     student_optimal: Assignment
     school_optimal: Assignment
-    counters: Counters                     # of the two walks and the enumeration
+    counters: Counters                     # of the one run, both walks and the enumeration
     _inst: Instance
     _keep: list[bytearray]                 # per school: 1 where the cell is legal
     _rotations: list[list[tuple[int, int]]]  # (student, school) index pairs
@@ -107,14 +113,19 @@ def legal_subinstance(inst: Instance) -> LegalSubinstanceReport:
     the mirror images of the school-rotations eliminated on the way up to the
     student-optimal legal assignment, the student-rotations of the original
     instance, and the ones eliminated on the way down to the school-optimal
-    legal assignment.  One pointer per student replays the chain from the
-    top down the student's list, marking the legal edges; a pair that does
-    not start at its student's pointer, or pointers that do not end at the
-    bottom walk's assignment, raise AssertionError.  O(|E|) + chain length.
+    legal assignment.  One student-proposing run starts the upward walk and
+    the enumeration, each from its own copy; the downward walk starts from a
+    copy of where the enumeration ends, the school-optimal stable assignment.
+    One pointer per student replays the chain from the top down the
+    student's list, marking the legal edges; a pair that does not start at
+    its student's pointer, or pointers that do not end at the bottom walk's
+    assignment, raise AssertionError.  O(|E|) + chain length.
     """
-    up = school_side_run(inst)
-    down = student_side_run(inst)
-    mid = student_side_run(inst, mode=ENUMERATE)
+    # looked up on engine per call, as the walks look up their own runs
+    state, gs_counters = engine._gs_student_arrays(inst)
+    up = school_side_run(inst, _start=state.copy())
+    mid = student_side_run(inst, mode=ENUMERATE, _start=state)
+    down = student_side_run(inst, _start=state.copy())
     # the inverse of sigma on each school-rotation (b_i, a_i): the pairs (a_i, b_{i-1})
     rotations = ([[(tau[i][1], tau[i - 1][0]) for i in range(len(tau))]
                   for tau in reversed(up._rotations)]
@@ -136,8 +147,8 @@ def legal_subinstance(inst: Instance) -> LegalSubinstanceReport:
             keep[b_next][s_srank[a][k]] = 1
     if at != down._match_pos:
         raise AssertionError(_UNGLUED)
-    return LegalSubinstanceReport(up.assignment, down.assignment,
-                                  up.counters + down.counters + mid.counters,
+    counters = gs_counters + up.counters + mid.counters + down.counters
+    return LegalSubinstanceReport(up.assignment, down.assignment, counters,
                                   inst, keep, rotations)
 
 

@@ -183,6 +183,14 @@ def test_roster_faults_come_first(rosters, s_prefs, b_prefs, message):
     ({}, {"a": ["x"]}, {"z": ["a"]}, "preference list for unknown school 'z'"),
     ({}, {"a": [0]}, {}, "student 'a' ranks unknown school 0"),
     ({}, {"a": ["c"]}, {"c": [0]}, "school 'c' ranks unknown student 0"),
+    # a string is not read one character per name, and an unhashable name
+    # is an unknown one
+    ({}, {"a": "cd"}, {"c": ["a"], "d": ["a"]},
+     "preference list of student 'a' is a string, 'cd', not a sequence of names"),
+    ({}, {"a": ["c"]}, {"c": "a"},
+     "preference list of school 'c' is a string, 'a', not a sequence of names"),
+    ({}, {"a": [["c"]]}, {}, "student 'a' ranks unknown school ['c']"),
+    ({}, {"a": ["c"]}, {"c": [["a"]]}, "school 'c' ranks unknown student ['a']"),
 ])
 def test_constructor_fault_messages(quota, s_prefs, b_prefs, message):
     with pytest.raises(InvalidInstanceError) as err:
@@ -410,6 +418,17 @@ def test_blocking_pairs_reject_a_school_off_an_empty_list():
     assert is_stable(inst, Assignment({"a1": "b1", "a2": None}))
     assert is_stable(inst, Assignment({"a1": "b1"}))
     assert list(blocking_pairs(inst, Assignment({"a1": None}))) == [("a1", "b1")]
+
+
+def test_blocking_pairs_reject_an_assignment_that_leaves_out_a_student():
+    inst = Instance(["a1", "a2"], ["b1"], {}, {"a1": ["b1"]}, {"b1": ["a1"]})
+    message = "the assignment leaves out student 'a1', whose list is not empty"
+    with pytest.raises(ValueError) as err:
+        is_stable(inst, Assignment({"a2": None}))
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        list(blocking_pairs(inst, Assignment({})))
+    assert str(err.value) == message
 
 
 # -- the two cross-rank joins -------------------------------------------------

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legalassign import (Assignment, Instance, dominates, enumerate_stable,
-                         gs_student, is_stable, legal_fixed_point, legal_subinstance,
-                         rotate_remove)
+from legalassign import (Assignment, Counters, Instance, dominates, enumerate_stable,
+                         gs_school, gs_student, is_stable, legal_fixed_point,
+                         legal_subinstance, rotate_remove)
+from legalassign.benchgen import GenConfig, generate
 from legalassign.engine import ENUMERATE, LEGAL, student_side_run
+from legalassign.gs import _gs_school_arrays, _gs_student_arrays
 
 from _markets import random_market
 from _references import legal_subinstance_reference, stable_edges
@@ -146,7 +148,9 @@ def _assert_report_matches_reference(inst):
     assert report.student_optimal == ref.student_optimal
     assert report.school_optimal == ref.school_optimal
     assert report.rotations == ref.rotations
-    assert report.counters == ref.counters
+    # the reference runs deferred acceptance three times, the report once
+    assert (report.counters + gs_student(inst).counters + gs_school(inst).counters
+            == ref.counters)
     sub = report.instance
     assert sub == ref.instance
     assert (sub._s_srank, sub._b_rrank) == (ref.instance._s_srank, ref.instance._b_rrank)
@@ -165,12 +169,61 @@ def test_report_equals_the_named_edge_reference_on_larger_markets(seed):
         random_market(rng, max_students=40, max_schools=8, max_quota=4))
 
 
+def test_legal_subinstance_runs_deferred_acceptance_once(ex5):
+    counters = legal_subinstance(ex5).counters
+    gs = gs_student(ex5).counters
+    assert counters.gs_runs == 1
+    assert (counters.proposals, counters.cells_scanned) == (gs.proposals, gs.cells_scanned)
+
+
+def _assert_enumeration_ends_school_optimal(inst):
+    # the downward walk of legal_subinstance starts where the enumeration ends
+    state, _ = _gs_student_arrays(inst)
+    student_side_run(inst, mode=ENUMERATE, _start=state)
+    assert state == _gs_school_arrays(inst)[0]
+
+
+def test_enumeration_ends_school_optimal():
+    for seed in range(300):
+        _assert_enumeration_ends_school_optimal(random_market(random.Random(seed)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_enumeration_ends_school_optimal_on_larger_markets(seed):
+    rng = random.Random(seed)
+    _assert_enumeration_ends_school_optimal(
+        random_market(rng, max_students=40, max_schools=8, max_quota=4))
+
+
+#: rotate_remove(inst, "students") on the market below: 20 of the 38 removed
+#: edges go to b1 and b4, which have a free seat all the way down (4 of 5 and
+#: 3 of 7 seats filled at the school-optimal stable assignment)
+NYC_30X5_REMOVED = (
+    "a8:b4 a18:b1 a23:b4 a22:b4 a23:b3 a7:b2 a7:b3 a2:b5 a2:b1 a3:b4 a4:b4 a5:b4 "
+    "a6:b4 a6:b5 a9:b4 a10:b2 a10:b1 a11:b5 a13:b3 a13:b5 a15:b3 a15:b2 a16:b1 "
+    "a17:b1 a19:b4 a20:b1 a21:b1 a24:b4 a25:b1 a25:b3 a26:b5 a26:b2 a27:b1 a27:b3 "
+    "a28:b3 a28:b5 a29:b5 a29:b1")
+
+
+def test_student_walk_settles_free_seat_sinks_in_order():
+    inst = generate(GenConfig(30, 5, quota_model="nyc", list_length=3, seed=2))
+    run = rotate_remove(inst, "students")
+    assert run.removed_edges == tuple(tuple(e.split(":")) for e in NYC_30X5_REMOVED.split())
+    assert run.counters == Counters(proposals=78, cells_scanned=78, edge_scans=59,
+                                    rotations_eliminated=3, edges_removed=38, gs_runs=1)
+    # the enumeration retires the path at a free seat instead, removing nothing
+    run = student_side_run(inst, mode=ENUMERATE)
+    assert run._rotations == [[(18, 1), (8, 2)]]
+    assert run.counters == Counters(proposals=32, cells_scanned=34, edge_scans=38,
+                                    rotations_eliminated=1, edges_removed=0, gs_runs=1)
+
+
 def _patch_enumeration(monkeypatch, edit):
     """Make legal_subinstance's middle enumeration return edit(rotations)."""
     real = rotate_remove_module.student_side_run
 
-    def patched(inst, *, mode=LEGAL):
-        run = real(inst, mode=mode)
+    def patched(inst, *, mode=LEGAL, _start=None):
+        run = real(inst, mode=mode, _start=_start)
         if mode == ENUMERATE:
             run = replace(run, _rotations=edit(run._rotations))
         return run

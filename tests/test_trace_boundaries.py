@@ -34,7 +34,7 @@ EXPECTED = {
                        ("engine.school_side_run", "legal"),
                        ("engine.student_side_run", "legal"),
                        ("engine.student_side_run", "enumerate"),
-                       ("gs.student", None), ("gs.school", None)},
+                       ("gs.student", None)},
 }
 
 
