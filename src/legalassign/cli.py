@@ -77,12 +77,12 @@ def _parse_consent(args, inst: Instance) -> ConsentSet | None:
 
 
 def _cmd_solve(args) -> int:
-    inst = parse_instance(_read(args.input))
     if ((args.consent is not None or args.consent_rate is not None)
             and args.mechanism not in CONSENT_MECHANISMS):
         print("error: --consent/--consent-rate apply only to "
               + ", ".join(CONSENT_MECHANISMS), file=sys.stderr)
         return 2
+    inst = parse_instance(_read(args.input))
     consent = _parse_consent(args, inst)
 
     if args.mechanism == "legal-subgraph":
@@ -242,6 +242,16 @@ def _add_market_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quota-hi", type=int, default=150)
 
 
+def _positive_seconds(text: str) -> float:
+    """A number of seconds above 0; nan and non-numbers are refused too."""
+    try:
+        if (seconds := float(text)) > 0:
+            return seconds
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text!r}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves it unchanged."""
@@ -310,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--consent-rates", default="1.0",
                     help="comma-separated consent rates in [0, 1]")
     bp.add_argument("--repetitions", type=int, default=1)
-    bp.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+    bp.add_argument("--timeout", type=_positive_seconds, default=None, metavar="SECONDS",
                     help="after each run returns, fail with exit status 1 if it "
                          "took longer than this; a stuck run is not stopped")
     bp.add_argument("--repro-dir", default=None, metavar="DIR",

@@ -3,13 +3,13 @@
 Instead of materializing a rotation digraph per iteration, the solvers grow
 a single directed path, school (or student) by school, using per-agent scan
 positions that only move forward.  Reaching a sink deletes one edge and pops
-one path entry.  On the student side in legal mode, a school with a free
-seat is a sink that needs no entry: the scan that reaches one deletes the
-edge and goes on.  Closing a cycle eliminates the corresponding rotation
-and truncates the path.  Every preference cell is scanned at most once,
-plus one re-scan per eliminated rotation, so a full run costs O(|E|).  New
-paths start at the agents in roster order; the outputs do not depend on
-that order.
+one path entry.  On the student side in legal mode, two sinks need no
+entry: a school with a free seat, and a school whose worst member has
+already retired.  The scan that reaches either deletes the edge and goes
+on.  Closing a cycle eliminates the corresponding rotation and truncates
+the path.  Every preference cell is scanned at most once, plus one re-scan
+per eliminated rotation, so a full run costs O(|E|).  New paths start at
+the agents in roster order; the outputs do not depend on that order.
 
 The modes of the walks:
   - legal:     rotate-remove; sinks delete illegal edges (finds legal optima)
@@ -44,17 +44,22 @@ ENUMERATE = "enumerate"
 class EngineRun:
     """One walk's result.
 
-    The walk records its rotations and removed edges as index pairs;
-    ``rotations`` and ``removed_edges`` name them on first access.
+    The walk records its assignment, rotations and removed edges at index
+    level; ``assignment``, ``rotations`` and ``removed_edges`` name them on
+    first access.
     """
-    assignment: Assignment
     counters: Counters                       # the initial solve (if run) plus the walk
     _inst: Instance
     _side: str                               # the side whose rotations were walked
+    _match_school: list[int]                 # per student: school index or -1
     _match_pos: list[int]                    # per student: own-list position of its match
     _rotations: list[list[tuple[int, int]]]  # (x, y) index pairs, x on _side
     _removed_a: list[int]                    # removed edges in removal order:
     _removed_b: list[int]                    # student and school indices
+
+    @cached_property
+    def assignment(self) -> Assignment:
+        return _as_assignment(self._inst, self._match_school)
 
     @cached_property
     def rotations(self) -> tuple[Rotation, ...]:
@@ -168,11 +173,10 @@ def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[in
             on_path[nxt] = len(path_b)
 
     return EngineRun(
-        _as_assignment(inst, match_school),
         gs_counters + Counters(edge_scans=scans,
                                rotations_eliminated=len(rotations),
                                edges_removed=len(removed_a)),
-        inst, SCHOOLS, match_pos, rotations, removed_a, removed_b,
+        inst, SCHOOLS, match_school, match_pos, rotations, removed_a, removed_b,
     )
 
 
@@ -193,8 +197,9 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
     # an unmatched student stays unmatched: no school with a free seat lists
     # him (stability), and full schools only improve their worst member
     p = [match_pos[a] if match_school[a] >= 0 else deg[a] for a in range(n_a)]
-    # a school with a free seat is a sink; in legal mode the scan deletes
-    # the edge to it and goes on, with no path entry
+    # two sinks need no path entry in legal mode: a school with a free seat,
+    # and a school whose worst member has retired (a retired student is never
+    # on the path).  The scan deletes the edge to such a school and goes on
     settle_sinks = mode == LEGAL
     f = 0
     path_b: list[int] = []   # school arriving at each entry; _EMPTY at the head
@@ -253,6 +258,10 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
                     continue
             elif row_r[pos] >= worst[b]:
                 continue
+            elif settle_sinks and p[w := b_pref[b][worst[b]]] >= deg[w]:
+                removed_a.append(tail)
+                removed_b.append(b)
+                continue
             found = b
             scans += pos - start
             break
@@ -290,11 +299,10 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
             on_path[nxt] = len(path_a)
 
     return EngineRun(
-        _as_assignment(inst, match_school),
         gs_counters + Counters(edge_scans=scans,
                                rotations_eliminated=len(rotations),
                                edges_removed=len(removed_a)),
-        inst, STUDENTS, match_pos, rotations, removed_a, removed_b,
+        inst, STUDENTS, match_school, match_pos, rotations, removed_a, removed_b,
     )
 
 
@@ -305,8 +313,8 @@ def school_side_run(inst: Instance, *, mode: str = LEGAL,
 
     legal climbs to the student-optimal legal assignment, consent to the
     EADAM assignment for the given per-student consent flags.  ``_start``
-    is that assignment already computed; the walk changes it in place and
-    counts no deferred-acceptance run.
+    is that assignment already computed; the walk changes it in place, keeps
+    it as its result and counts no deferred-acceptance run.
     """
     if mode not in (LEGAL, CONSENT):
         raise ValueError(f"unknown mode {mode!r}")
@@ -328,8 +336,8 @@ def student_side_run(inst: Instance, *, mode: str = LEGAL,
     school-optimal legal assignment; enumerate starts at the student-optimal
     one and reports every student-rotation on the way down, ending at the
     school-optimal one.  ``_start`` is the mode's start assignment already
-    computed; the walk changes it in place and counts no deferred-acceptance
-    run.
+    computed; the walk changes it in place, keeps it as its result and
+    counts no deferred-acceptance run.
     """
     if mode not in (LEGAL, ENUMERATE):
         raise ValueError(f"unknown mode {mode!r}")

@@ -142,6 +142,23 @@ def test_consent_flag_needs_eadam(capsys):
     assert "apply only to" in err
 
 
+def test_consent_flag_refused_before_the_input_is_read(capsys):
+    code, _, err = run(capsys, "solve", "--mechanism", "gs",
+                       "--input", "/nonexistent.inst", "--consent-rate", "0.5")
+    assert code == 2
+    assert err == ("error: --consent/--consent-rate apply only to "
+                   "eadam, eadam-simplified, eadam-fast\n")
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "abc"])
+def test_bench_refuses_a_timeout_that_is_not_positive(capsys, timeout):
+    code, out, err = run(capsys, "bench", "--students", "4", "--schools", "2",
+                         f"--timeout={timeout}")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --timeout: must be a positive number "
+                        f"of seconds, got '{timeout}'\n")
+
+
 def test_oracle_legal_blocks(capsys):
     code, out, _ = run(capsys, "oracle", "legal", "--input", fx("ex1.inst"))
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from legalassign import (Assignment, Instance, all_rotations, school_side_run,
                          sigma, student_side_run)
+from legalassign.gs import _as_assignment
 from _markets import random_consent, random_market
 from _references import all_rotations_naive, rotate_remove_naive
 
@@ -26,6 +28,18 @@ def test_school_side_reaches_student_optimal_legal(ex4):
 def test_student_side_stops_at_unique_stable(ex4):
     # the lattice below the stable matching is empty here
     assert student_side_run(ex4).assignment == STABLE_EX4
+
+
+@pytest.mark.parametrize("walk", [
+    school_side_run, student_side_run, lambda inst: student_side_run(inst, mode="enumerate"),
+], ids=["schools", "students", "enumerate"])
+def test_assignment_is_named_on_first_read(ex3, walk):
+    run = walk(ex3)
+    assert "assignment" not in run.__dict__
+    named = run.assignment
+    assert "assignment" in run.__dict__
+    assert named == _as_assignment(ex3, run._match_school)
+    assert replace(run, _rotations=[]).assignment == named
 
 
 def test_scan_budget_ex4(ex4):

@@ -231,6 +231,21 @@ def _patch_enumeration(monkeypatch, edit):
     monkeypatch.setattr(rotate_remove_module, "student_side_run", patched)
 
 
+def test_legal_subinstance_leaves_the_enumeration_assignment_unnamed(ex9, monkeypatch):
+    runs = []
+    real = rotate_remove_module.student_side_run
+
+    def recording(inst, **kwargs):
+        runs.append(real(inst, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(rotate_remove_module, "student_side_run", recording)
+    report = legal_subinstance(ex9)
+    mid, down = runs
+    assert "assignment" not in mid.__dict__
+    assert report.school_optimal == down.assignment
+
+
 @pytest.mark.parametrize("lost", range(6))
 def test_glue_rejects_a_chain_that_lost_a_rotation(ex9, monkeypatch, lost):
     assert len(student_side_run(ex9, mode=ENUMERATE)._rotations) == 6
