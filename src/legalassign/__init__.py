@@ -4,12 +4,16 @@ The package solves one-to-many bipartite markets with strict preferences.
 Entry points by module:
 
   model          instances, assignments, blocking pairs, the seat reduction
-  gs             deferred acceptance (event-driven and round-traced), and
-                 `Counters`, the operation counts every solver result carries
+  gs             linear-time deferred acceptance, and `Counters`, the
+                 operation counts every solver result carries
   rotations      `Rotation`, and sigma between the two sides' rotations
   engine         the linear-time path-following walks, `all_rotations`
   rotate_remove  the legal optima and the legal subinstance
-  eadam          priority waiving with consent, three equivalent mechanisms
+  eadam          priority waiving with consent: `ConsentSet` and the
+                 linear-time `rotate_remove_consent`
+  baselines      the reference EADAM forms (Kesten's iterated re-run and
+                 the simplified form) and the round-traced deferred
+                 acceptance they read; no solver module imports it
   oracle         brute-force enumeration of stable and legal sets, and the
                  constrained-efficiency check; no solver module imports it
   latin          markets whose mutual ranks form a Latin square
@@ -20,17 +24,16 @@ Entry points by module:
 
 from pathlib import Path
 
+from .baselines import (EadamResult, TracedGS, gs_student_traced, interrupting_pairs,
+                        kesten_eadam, simplified_eadam)
 from .benchgen import (BenchError, BenchRecord, EqualityViolation, GenConfig,
                        MechanismTimeout, PlanCell, generate, run_bench,
                        sample_consent, write_csv)
-from .eadam import (ConsentSet, EadamResult, kesten_eadam, rotate_remove_consent,
-                    simplified_eadam)
+from .eadam import ConsentSet, rotate_remove_consent
 from .engine import EngineRun, all_rotations, school_side_run, student_side_run
-from .gs import (Counters, GSResult, TracedGS, gs_school, gs_student,
-                 gs_student_traced, interrupting_pairs)
-from .latin import (LatinSquare, auxiliary_instance, diagonal_matching,
-                    format_latin, instance_from_latin, latin_check, latin_stable,
-                    parse_latin, ranking_matrix, xor_latin)
+from .gs import Counters, GSResult, gs_student
+from .latin import (LatinSquare, auxiliary_instance, format_latin, instance_from_latin,
+                    latin_check, parse_latin, xor_latin)
 from .model import (Assignment, Instance, InvalidInstanceError, OneToOneReduction,
                     ParseError, blocking_pairs, dominates, is_stable, parse_instance,
                     reduce_one_to_one)

@@ -24,7 +24,8 @@ from typing import IO, NamedTuple
 
 import numpy as np
 
-from .eadam import ConsentSet, kesten_eadam, rotate_remove_consent, simplified_eadam
+from .baselines import kesten_eadam, simplified_eadam
+from .eadam import ConsentSet, rotate_remove_consent
 from .gs import Counters, gs_student
 from .model import SCHOOLS, STUDENTS, Assignment, Instance, InvalidInstanceError
 from .rotate_remove import legal_subinstance, rotate_remove
@@ -161,6 +162,8 @@ class GenConfig:
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, stream])))
 
 

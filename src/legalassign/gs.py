@@ -1,23 +1,19 @@
-"""Deferred acceptance, linear-time and trace-producing variants.
+"""Deferred acceptance in O(|E|), and the operation counts of every run.
 
-The fast solvers run in O(|E|): every proposal consumes a preference cell,
-and each school's pointer to its least preferred tentative student only
-sweeps its list once.  The traced variant replays the classic simultaneous
-round mechanics and records every accept/reject/displace event, which is
-what interrupter detection consumes.
+Both runs are linear: every proposal consumes a preference cell, and each
+school's pointer to its least preferred tentative student only sweeps its
+list once.  The student-proposing run gives the student-optimal stable
+assignment; the school-proposing one, which starts the student-side walks,
+gives the school-optimal one.  The round-traced run that Kesten's EADAM
+reads lives in ``baselines``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from operator import add
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .model import Assignment, Instance
-
-ACCEPTED = "accepted"
-REJECTED = "rejected"
-DISPLACED = "displaced"
 
 _UNRANKED = 1 << 60  # worse than any real rank
 
@@ -184,110 +180,3 @@ def _gs_school_arrays(inst: Instance) -> tuple[_MatchState, Counters]:
                  for a in range(n_a)]
     return (_MatchState(match_school, match_pos),
             Counters(proposals, proposals, gs_runs=1))
-
-
-def gs_school(inst: Instance) -> GSResult:
-    state, counters = _gs_school_arrays(inst)
-    return GSResult(_as_assignment(inst, state.match_school), counters)
-
-
-# -- traced variant ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class GSEvent:
-    round: int
-    student: str
-    school: str
-    outcome: str  # accepted | rejected | displaced
-
-
-@dataclass(frozen=True)
-class GSTrace:
-    rounds: tuple[tuple[GSEvent, ...], ...]
-
-    def events(self) -> Iterator[GSEvent]:
-        for r in self.rounds:
-            yield from r
-
-    def dump(self) -> str:
-        return "\n".join(f"{e.round} {e.student} {e.school} {e.outcome}"
-                         for e in self.events()) + ("\n" if self.rounds else "")
-
-
-class TracedGS(NamedTuple):
-    assignment: Assignment
-    trace: GSTrace
-
-
-def gs_student_traced(inst: Instance, alive: Sequence[bytearray] | None = None) -> TracedGS:
-    """Simultaneous-rounds student-proposing run with a full event log.
-
-    Each round every unmatched student with list remaining proposes to his
-    next school; each school keeps the best q of incumbents plus proposers.
-    A student whose list runs out simply stops (no event).  A round's events
-    go school by school in index order: first each proposer's outcome in
-    student index order, then the displaced students in the school's list
-    order.  The final assignment equals gs_student's.
-    """
-    students, schools = inst.students, inst.schools
-    s_pref, s_srank, b_pref, quota = inst._s_pref, inst._s_srank, inst._b_pref, inst._quota
-
-    ptr, cur = [0] * len(students), [-1] * len(students)  # cur: school index or -1
-    holding: list[list[int]] = [[] for _ in schools]  # per school: held list positions, ascending
-    rounds: list[tuple[GSEvent, ...]] = []
-    for rnd in count(1):
-        proposals: dict[int, list[int]] = {}  # school -> proposers' positions on its list
-        for i, row in enumerate(s_pref):
-            if cur[i] >= 0:
-                continue
-            pos = ptr[i]
-            if alive is not None:
-                while pos < len(row) and not alive[i][pos]:
-                    pos += 1
-            if pos >= len(row):
-                ptr[i] = pos
-                continue
-            ptr[i] = pos + 1
-            proposals.setdefault(row[pos], []).append(s_srank[i][pos])
-        if not proposals:
-            break
-        events: list[GSEvent] = []
-        for j in sorted(proposals):
-            b, names = schools[j], b_pref[j]
-            kept = sorted(holding[j] + proposals[j])[:quota[j]]
-            taken = set(kept)
-            for r in proposals[j]:
-                a = names[r]
-                if r in taken:
-                    events.append(GSEvent(rnd, students[a], b, ACCEPTED))
-                    cur[a] = j
-                else:
-                    events.append(GSEvent(rnd, students[a], b, REJECTED))
-            for r in holding[j]:
-                if r not in taken:
-                    events.append(GSEvent(rnd, students[names[r]], b, DISPLACED))
-                    cur[names[r]] = -1
-            holding[j] = kept
-        rounds.append(tuple(events))
-    return TracedGS(_as_assignment(inst, cur), GSTrace(tuple(rounds)))
-
-
-def interrupting_pairs(trace: GSTrace) -> list[tuple[str, str, int]]:
-    """Pairs (a, b, k') where a was tentatively accepted by b at some round k,
-    pushed out at round k', and b rejected or displaced somebody in rounds
-    k..k'-1.  Sorted by k' descending, then by student and school id.
-    """
-    accepted_at: dict[tuple[str, str], int] = {}
-    rejections: dict[str, list[int]] = {}
-    out: list[tuple[str, str, int]] = []
-    for e in trace.events():
-        if e.outcome == ACCEPTED:
-            accepted_at[(e.student, e.school)] = e.round
-        else:
-            rejections.setdefault(e.school, []).append(e.round)
-            if e.outcome == DISPLACED:
-                k = accepted_at[(e.student, e.school)]
-                if any(k <= r < e.round for r in rejections[e.school]):
-                    out.append((e.student, e.school, e.round))
-    out.sort(key=lambda t: (-t[2], t[0], t[1]))
-    return out

@@ -6,18 +6,21 @@ n+1-Q(a, b) is a's rank for b.  Every rank-i diagonal {ab : Q(a,b) = i} is a
 stable matching, every edge is legal, and appending one extra student and
 school squeezes the stable set down to a single matching while the legal set
 keeps the original instance's full stable set.
+
+This module builds the matrices and their markets.  Reading the matrix
+back from a market, the stability test on the matrix alone and the rank
+diagonals are test references in ``tests/_references.py``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Assignment, Instance, InvalidInstanceError
+from .model import Instance, InvalidInstanceError
 
 __all__ = [
-    "LatinSquare", "latin_check", "instance_from_latin", "ranking_matrix",
-    "latin_stable", "diagonal_matching", "auxiliary_instance", "xor_latin",
-    "parse_latin", "format_latin",
+    "LatinSquare", "latin_check", "instance_from_latin", "auxiliary_instance",
+    "xor_latin", "parse_latin", "format_latin",
 ]
 
 
@@ -73,65 +76,6 @@ def instance_from_latin(q: LatinSquare | Sequence[Sequence[int]]) -> Instance:
             col[n - sq.q[i][j]] = students[i]
         bp[b] = col
     return Instance(students, schools, {b: 1 for b in schools}, sp, bp)
-
-
-def ranking_matrix(inst: Instance) -> LatinSquare:
-    """Recover the Latin ranking matrix of an instance, validating that the
-    instance really is Latin (complete one-to-one lists whose two sides'
-    ranks sum to n+1 everywhere)."""
-    n = inst.n_students
-    if inst.n_schools != n:
-        raise InvalidInstanceError("a Latin instance has as many schools as students")
-    if any(v != 1 for v in inst.quota.values()):
-        raise InvalidInstanceError("a Latin instance is one-to-one")
-    if any(len(row) != n for row in inst._s_pref):
-        raise InvalidInstanceError("a Latin instance has complete lists")
-    rows = []
-    for a in inst.students:
-        row = []
-        for b in inst.schools:
-            r = inst.student_rank(a, b) + 1
-            if inst.school_rank(b, a) + 1 != n + 1 - r:
-                raise InvalidInstanceError(
-                    f"ranks of ({a}, {b}) do not sum to n+1")
-            row.append(r)
-        rows.append(tuple(row))
-    return LatinSquare(tuple(rows))
-
-
-def _as_perm(q: LatinSquare, m: Sequence[int]) -> list[int]:
-    perm = list(m)
-    if sorted(perm) != list(range(q.n)):
-        raise ValueError("matching must pair every row with a distinct column")
-    return perm
-
-
-def latin_stable(q: LatinSquare | Sequence[Sequence[int]], m: Sequence[int]) -> bool:
-    """Stability test on the matrix alone: m (row i matched to column m[i],
-    0-based) is stable iff no cell's value lies strictly between its row's
-    and its column's matched values."""
-    sq = _as_square(q)
-    perm = _as_perm(sq, m)
-    col_match = [0] * sq.n  # matched value in each column
-    row_match = [0] * sq.n
-    for i, j in enumerate(perm):
-        col_match[j] = row_match[i] = sq.q[i][j]
-    for i in range(sq.n):
-        for j in range(sq.n):
-            v = sq.q[i][j]
-            lo, hi = sorted((col_match[j], row_match[i]))
-            if lo < v < hi:
-                return False
-    return True
-
-
-def diagonal_matching(q: LatinSquare | Sequence[Sequence[int]], rank: int) -> Assignment:
-    """The perfect matching of all cells holding the given rank value."""
-    sq = _as_square(q)
-    if not 1 <= rank <= sq.n:
-        raise ValueError(f"rank must be in 1..{sq.n}")
-    return Assignment({f"a{i + 1}": f"b{row.index(rank) + 1}"
-                       for i, row in enumerate(sq.q)})
 
 
 def auxiliary_instance(inst: Instance, student: str = "a~",

@@ -641,28 +641,16 @@ class OneToOneReduction:
     """A quota-1 copy of a market where school b becomes seats b^1..b^q.
 
     Seats replace b in every student's list in seat order and inherit b's
-    preference list.  ``pi`` maps an assignment of the original market to the
-    corresponding seat matching (i-th best student of b gets seat b^i);
-    ``pi_inverse`` undoes it.  Stable sets correspond one to one under pi;
-    legal sets in general do not.
+    preference list.  ``seat_school`` and ``school_seats`` map between seats
+    and schools.  Giving the i-th best student of b seat b^i maps the stable
+    assignments of the original market one to one onto those of the copy;
+    legal sets in general do not correspond.
     """
 
     original: Instance
     instance: Instance
     seat_school: Mapping[str, str]
     school_seats: Mapping[str, tuple[str, ...]]
-
-    def pi(self, m: Assignment) -> Assignment:
-        match: dict[str, str | None] = {a: None for a in self.original.students}
-        for b, seats in self.school_seats.items():
-            ranked = sorted(m.students_of(b), key=lambda a: self.original.school_rank(b, a))
-            for seat, a in zip(seats, ranked):
-                match[a] = seat
-        return Assignment(match)
-
-    def pi_inverse(self, m: Assignment) -> Assignment:
-        return Assignment({a: (self.seat_school[s] if s is not None else None)
-                           for a, s in ((a, m.school_of(a)) for a in self.instance.students)})
 
 
 def reduce_one_to_one(inst: Instance) -> OneToOneReduction:

@@ -2,7 +2,10 @@
 
 The naive blocking predicate tests one edge through name-level ranks;
 beside it sit underdemanded schools, sigma's inverse, a set's lattice
-ends, maximality and the stable edges from the rotations.
+ends, maximality and the stable edges from the rotations, the named
+school-optimal stable assignment (`gs_school`), and the seat reduction's
+`pi` and `pi_inverse`.  The Latin ones read a market's ranking matrix
+back, test stability on the matrix alone and name a rank diagonal.
 The string-level rotation digraph finds successors, exposed rotations and
 eliminations through named agents.  The digraph-rebuilding references
 rebuild that digraph from scratch at every step, so they are slow and only
@@ -25,11 +28,13 @@ from itertools import accumulate, compress
 from operator import not_
 from typing import Iterator, Sequence
 
-from legalassign import (Assignment, ConsentSet, Counters, Instance,
-                         InvalidInstanceError, ParseError, all_rotations, dominates,
-                         gs_school, gs_student)
+from legalassign import (Assignment, ConsentSet, Counters, GSResult, Instance,
+                         InvalidInstanceError, LatinSquare, OneToOneReduction,
+                         ParseError, all_rotations, dominates, gs_student)
 from legalassign.eadam import _consent_flags
-from legalassign.engine import ENUMERATE, school_side_run, student_side_run
+from legalassign.engine import ENUMERATE, _gs_school_arrays, school_side_run, student_side_run
+from legalassign.gs import _as_assignment
+from legalassign.latin import _as_square
 from legalassign.model import SCHOOLS, STUDENTS, _check_side
 from legalassign.oracle import (DEFAULT_CAP, OracleCapError, _violated_priority,
                                enumerate_assignments)
@@ -111,6 +116,89 @@ def stable_edges(inst: Instance) -> frozenset[tuple[str, str]]:
     for rho in all_rotations(inst, STUDENTS):
         out.update(rho.pairs)
     return frozenset(out)
+
+
+def gs_school(inst: Instance) -> GSResult:
+    """School-proposing deferred acceptance; the school-optimal stable assignment."""
+    state, counters = _gs_school_arrays(inst)
+    return GSResult(_as_assignment(inst, state.match_school), counters)
+
+
+def pi(red: OneToOneReduction, m: Assignment) -> Assignment:
+    """The seat matching of m: the i-th best student of b gets seat b^i."""
+    match: dict[str, str | None] = {a: None for a in red.original.students}
+    for b, seats in red.school_seats.items():
+        ranked = sorted(m.students_of(b), key=lambda a: red.original.school_rank(b, a))
+        for seat, a in zip(seats, ranked):
+            match[a] = seat
+    return Assignment(match)
+
+
+def pi_inverse(red: OneToOneReduction, m: Assignment) -> Assignment:
+    """The assignment of the original market that seat matching m encodes."""
+    return Assignment({a: (red.seat_school[s] if s is not None else None)
+                       for a, s in ((a, m.school_of(a)) for a in red.instance.students)})
+
+
+# -- Latin ranking matrices read off a market ----------------------------------
+
+def ranking_matrix(inst: Instance) -> LatinSquare:
+    """Recover the Latin ranking matrix of an instance, validating that the
+    instance really is Latin (complete one-to-one lists whose two sides'
+    ranks sum to n+1 everywhere)."""
+    n = inst.n_students
+    if inst.n_schools != n:
+        raise InvalidInstanceError("a Latin instance has as many schools as students")
+    if any(v != 1 for v in inst.quota.values()):
+        raise InvalidInstanceError("a Latin instance is one-to-one")
+    if any(len(row) != n for row in inst._s_pref):
+        raise InvalidInstanceError("a Latin instance has complete lists")
+    rows = []
+    for a in inst.students:
+        row = []
+        for b in inst.schools:
+            r = inst.student_rank(a, b) + 1
+            if inst.school_rank(b, a) + 1 != n + 1 - r:
+                raise InvalidInstanceError(
+                    f"ranks of ({a}, {b}) do not sum to n+1")
+            row.append(r)
+        rows.append(tuple(row))
+    return LatinSquare(tuple(rows))
+
+
+def _as_perm(q: LatinSquare, m: Sequence[int]) -> list[int]:
+    perm = list(m)
+    if sorted(perm) != list(range(q.n)):
+        raise ValueError("matching must pair every row with a distinct column")
+    return perm
+
+
+def latin_stable(q: LatinSquare | Sequence[Sequence[int]], m: Sequence[int]) -> bool:
+    """Stability test on the matrix alone: m (row i matched to column m[i],
+    0-based) is stable iff no cell's value lies strictly between its row's
+    and its column's matched values."""
+    sq = _as_square(q)
+    perm = _as_perm(sq, m)
+    col_match = [0] * sq.n  # matched value in each column
+    row_match = [0] * sq.n
+    for i, j in enumerate(perm):
+        col_match[j] = row_match[i] = sq.q[i][j]
+    for i in range(sq.n):
+        for j in range(sq.n):
+            v = sq.q[i][j]
+            lo, hi = sorted((col_match[j], row_match[i]))
+            if lo < v < hi:
+                return False
+    return True
+
+
+def diagonal_matching(q: LatinSquare | Sequence[Sequence[int]], rank: int) -> Assignment:
+    """The perfect matching of all cells holding the given rank value."""
+    sq = _as_square(q)
+    if not 1 <= rank <= sq.n:
+        raise ValueError(f"rank must be in 1..{sq.n}")
+    return Assignment({f"a{i + 1}": f"b{row.index(rank) + 1}"
+                       for i, row in enumerate(sq.q)})
 
 
 # -- the string-level rotation digraph ----------------------------------------

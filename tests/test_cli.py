@@ -410,3 +410,30 @@ def test_bench_output_file_holds_the_stdout_csv(tmp_path, capsys):
 def test_bench_rejects_a_seed_list_without_integers(capsys):
     assert run(capsys, "bench", "--students", "4", "--schools", "2", "--seeds", ",") == (
         1, "", "error: --seeds needs at least one integer\n")
+
+
+def test_bench_strips_spaces_around_mechanism_names(capsys):
+    code, out, _ = run(capsys, "bench", "--students", "20", "--schools", "2",
+                       "--mechanisms", "gs, eadam-fast")
+    assert code == 0
+    assert [line.split(",")[5] for line in out.splitlines()[1:]] == ["gs", "eadam-fast"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--students", "4", "--schools", "2", "--seed", "-1"),
+    ("bench", "--students", "4", "--schools", "2", "--seeds", "-1"),
+    ("solve", "--mechanism", "eadam", "--input", fx("ex5.inst"),
+     "--consent-rate", "0.5", "--seed", "-1"),
+], ids=["gen", "bench", "solve"])
+def test_negative_seed_is_refused_by_name(capsys, argv):
+    assert run(capsys, *argv) == (
+        1, "", "error: seed must be a non-negative integer, got -1\n")
+
+
+@pytest.mark.parametrize("mechanism", ["eadam", "eadam-simplified", "eadam-fast"])
+def test_consent_file_naming_an_unknown_student_is_refused(tmp_path, capsys, mechanism):
+    consent = tmp_path / "consent.txt"
+    consent.write_text("a1 zz\n")
+    assert run(capsys, "solve", "--mechanism", mechanism, "--input", fx("ex5.inst"),
+               "--consent", str(consent)) == (
+        1, "", "error: consent set names unknown students: ['zz']\n")

@@ -3,14 +3,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legalassign import (Assignment, ConsentSet, diagonal_matching,
-                         gs_student, gs_student_traced, is_constrained_efficient,
+from legalassign import (Assignment, ConsentSet, gs_student,
+                         gs_student_traced, is_constrained_efficient,
                          kesten_eadam, parse_latin, rotate_remove,
                          rotate_remove_consent, simplified_eadam)
 from legalassign.latin import instance_from_latin
 
 from _markets import random_consent, random_market
-from _references import underdemanded_schools
+from _references import diagonal_matching, underdemanded_schools
 
 EADAM_EX5 = Assignment({"a1": "b1", "a2": "b2", "a3": "b4", "a4": "b3"})
 

@@ -3,11 +3,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legalassign import (Assignment, dominates, enumerate_stable, gs_school,
-                         gs_student, gs_student_traced, interrupting_pairs,
-                         parse_instance)
+from legalassign import (Assignment, dominates, enumerate_stable, gs_student,
+                         gs_student_traced, interrupting_pairs, parse_instance)
 
 from _markets import random_market
+from _references import gs_school
 
 M0_EX5 = Assignment({"a1": "b3", "a2": "b2", "a3": "b4", "a4": "b1"})
 

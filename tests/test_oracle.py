@@ -14,7 +14,7 @@ import legalassign
 from legalassign import (Assignment, ConsentSet, GenConfig, OracleCapError,
                          auxiliary_instance, cli, dominates, enumerate_assignments,
                          enumerate_stable,
-                         fixture_path, generate, gs_school, gs_student,
+                         fixture_path, generate, gs_student,
                          instance_from_latin, is_constrained_efficient, is_stable,
                          legal_fixed_point, legal_subinstance, parse_instance,
                          parse_latin, rotate_remove_consent, verify_legal_property,
@@ -24,7 +24,7 @@ from legalassign.oracle import _Assignments, _dominating, _universe, _Universe
 from _markets import random_consent, random_market
 import _references
 from _references import (assemble_instance, blocks, dominating_reference,
-                         enumerate_assignments_reference, is_blocking_pair,
+                         enumerate_assignments_reference, gs_school, is_blocking_pair,
                          is_constrained_efficient_reference, is_maximal, optimal_in,
                          universe_masks_reference)
 
@@ -164,24 +164,36 @@ def test_stability_matches_model_predicate(seed):
         assert (m in stable) == is_stable(inst, m)
 
 
-def _imports_oracle(node: ast.AST) -> bool:
+def _imports(node: ast.AST, target: str) -> bool:
+    """True iff the node imports the package module ``target`` or a name from it."""
     if isinstance(node, ast.ImportFrom):
         module = "." * node.level + (node.module or "")
-        if module in (".oracle", "legalassign.oracle"):
+        if module in (f".{target}", f"legalassign.{target}"):
             return True
         return (module in (".", "legalassign")
-                and any(alias.name == "oracle" for alias in node.names))
+                and any(alias.name == target for alias in node.names))
     if isinstance(node, ast.Import):
-        return any(alias.name == "legalassign.oracle" for alias in node.names)
+        return any(alias.name == f"legalassign.{target}" for alias in node.names)
     return False
 
 
-@pytest.mark.parametrize("module", ["model", "gs", "engine", "rotations",
-                                    "rotate_remove", "eadam"])
-def test_solver_modules_do_not_import_the_oracle(module):
+def _import_lines(module: str, target: str) -> list[int]:
     path = Path(legalassign.__file__).with_name(f"{module}.py")
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    assert not [node.lineno for node in ast.walk(tree) if _imports_oracle(node)]
+    return [node.lineno for node in ast.walk(tree) if _imports(node, target)]
+
+
+SOLVER_MODULES = ["model", "gs", "engine", "rotations", "rotate_remove", "eadam"]
+
+
+@pytest.mark.parametrize("module", SOLVER_MODULES + ["baselines"])
+def test_solver_modules_do_not_import_the_oracle(module):
+    assert not _import_lines(module, "oracle")
+
+
+@pytest.mark.parametrize("module", SOLVER_MODULES)
+def test_solver_modules_do_not_import_the_baselines(module):
+    assert not _import_lines(module, "baselines")
 
 
 def _named_markets():

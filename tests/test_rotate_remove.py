@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legalassign import (Assignment, Counters, Instance, dominates, enumerate_stable,
-                         gs_school, gs_student, is_stable, legal_fixed_point,
+                         gs_student, is_stable, legal_fixed_point,
                          legal_subinstance, rotate_remove)
 from legalassign.benchgen import GenConfig, generate
 from legalassign.engine import ENUMERATE, LEGAL, student_side_run
 from legalassign.gs import _gs_school_arrays, _gs_student_arrays
 
 from _markets import random_market
-from _references import legal_subinstance_reference, stable_edges
+from _references import gs_school, legal_subinstance_reference, stable_edges
 
 # the module, which the package's rotate_remove function shadows
 rotate_remove_module = importlib.import_module("legalassign.rotate_remove")
