@@ -18,6 +18,7 @@ import math
 import os
 import time
 import warnings
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields
 from typing import IO, NamedTuple
@@ -291,12 +292,22 @@ class PlanCell:
             raise ValueError(f"unknown mechanisms: {unknown}")
         if not self.mechanisms:
             raise ValueError("cell lists no mechanisms")
+        if repeated := _repeated(self.mechanisms):
+            raise ValueError(f"repeated mechanisms: {repeated}")
         if any(not 0.0 <= r <= 1.0 for r in self.consent_rates):
             raise ValueError("consent rates must lie in [0, 1]")
         if not self.consent_rates:
             raise ValueError("cell lists no consent rates")
+        if repeated := _repeated(self.consent_rates):
+            raise ValueError(f"repeated consent rates: {repeated}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+
+
+def _repeated(values: Sequence) -> list:
+    """The values listed more than once, compared by value, so that the
+    rates 1 and 1.0 are one rate."""
+    return [v for v, n in Counter(values).items() if n > 1]
 
 
 def instance_id(cfg: GenConfig) -> str:

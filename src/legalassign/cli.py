@@ -26,8 +26,8 @@ from typing import Sequence
 
 from .benchgen import (CONSENT_MECHANISMS, MECHANISMS, PRODUCTION_MECHANISMS,
                        QUOTA_MODELS, UNIFORM, BenchError, Counts, GenConfig,
-                       PlanCell, _run_one, generate, run_bench, sample_consent,
-                       write_csv)
+                       PlanCell, _repeated, _run_one, generate, run_bench,
+                       sample_consent, write_csv)
 from .eadam import ConsentSet
 from .latin import (auxiliary_instance, format_latin, instance_from_latin,
                     parse_latin, xor_latin)
@@ -200,6 +200,8 @@ def _cmd_bench(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if not seeds:
         raise ValueError("--seeds needs at least one integer")
+    if repeated := _repeated(seeds):
+        raise ValueError(f"repeated seeds: {repeated}")
     mechanisms = tuple(m.strip() for m in args.mechanisms.split(",") if m.strip())
     rates = tuple(float(r) for r in args.consent_rates.split(",") if r.strip())
     plan = [PlanCell(_market_config(args, s), mechanisms, rates, args.repetitions)

@@ -18,8 +18,8 @@ The modes of the walks:
                consent
   - enumerate: student side only; no deletions; a sink permanently retires
                the whole path, which walks the stable lattice down and
-               reports every student-rotation.  The school-rotations are
-               their sigma images (all_rotations)
+               reports every student-rotation, for all_rotations alone.
+               The school-rotations are their sigma images
 """
 from __future__ import annotations
 
@@ -335,9 +335,11 @@ def student_side_run(inst: Instance, *, mode: str = LEGAL,
     legal starts at the school-optimal stable assignment and descends to the
     school-optimal legal assignment; enumerate starts at the student-optimal
     one and reports every student-rotation on the way down, ending at the
-    school-optimal one.  ``_start`` is the mode's start assignment already
-    computed; the walk changes it in place, keeps it as its result and
-    counts no deferred-acceptance run.
+    school-optimal one.  ``_start`` is a start assignment already computed;
+    the walk changes it in place, keeps it as its result and counts no
+    deferred-acceptance run.  Legal mode may also start at the
+    student-optimal stable assignment: it then eliminates the stable
+    student-rotations too, on its way to the same end.
     """
     if mode not in (LEGAL, ENUMERATE):
         raise ValueError(f"unknown mode {mode!r}")

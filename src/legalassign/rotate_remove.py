@@ -2,16 +2,17 @@
 
 Eliminating school-rotations while deleting the edges exposed at sinks walks
 from the student-optimal stable assignment up to the student-optimal legal
-assignment; the student-side mirror walks from the school-optimal stable
-assignment down to the school-optimal legal one.  Gluing the two walks to the
-stable lattice in the middle yields every legal edge, hence the subinstance
+assignment; the student-side mirror walks down to the school-optimal legal
+one.  Gluing the two walks yields every legal edge, hence the subinstance
 whose stable assignments are exactly the legal assignments.  The glue is one
 pointer per student, which each rotation of the chain moves down its list.
 
-The subinstance costs one deferred-acceptance run: eliminating every
-student-rotation from the student-optimal stable assignment ends at the
-school-optimal one (Gusfield & Irving 1989, ch. 3), so the downward walk
-starts where the middle enumeration ends.
+The subinstance costs one deferred-acceptance run and two walks, both from
+the student-optimal stable assignment.  The downward walk deletes only
+illegal edges, which no stable assignment uses, so it eliminates the stable
+student-rotations on its way and passes the school-optimal stable
+assignment (Gusfield & Irving 1989, ch. 3) without a separate enumeration
+of the stable lattice.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from itertools import compress
 from typing import Iterable, Iterator
 
 from . import engine
-from .engine import (ENUMERATE, LEGAL, EngineRun, _named_rotations, school_side_run,
+from .engine import (LEGAL, EngineRun, _named_rotations, school_side_run,
                      student_side_run)
 from .gs import Counters
 from .model import Assignment, Instance, SCHOOLS, STUDENTS, _check_side
@@ -56,7 +57,7 @@ class LegalSubinstanceReport:
     """
     student_optimal: Assignment
     school_optimal: Assignment
-    counters: Counters                     # of the one run, both walks and the enumeration
+    counters: Counters                     # of the one run and both walks
     _inst: Instance
     _keep: list[bytearray]                 # per school: 1 where the cell is legal
     _rotations: list[list[tuple[int, int]]]  # (student, school) index pairs
@@ -83,8 +84,8 @@ class LegalSubinstanceReport:
 
     @cached_property
     def rotations(self) -> tuple[Rotation, ...]:
-        """Student-rotations of the subinstance, ordered from the student-
-        optimal to the school-optimal legal assignment."""
+        """Student-rotations of the subinstance in an elimination order,
+        from the student-optimal to the school-optimal legal assignment."""
         return _named_rotations(self._inst, STUDENTS, self._rotations)
 
     def edges_by_student(self) -> Iterator[tuple[str, list[str], list[str]]]:
@@ -109,27 +110,25 @@ class LegalSubinstanceReport:
 def legal_subinstance(inst: Instance) -> LegalSubinstanceReport:
     """Restrict the instance to its legal edges.
 
-    The student-rotations of the restricted instance split into three runs:
-    the mirror images of the school-rotations eliminated on the way up to the
-    student-optimal legal assignment, the student-rotations of the original
-    instance, and the ones eliminated on the way down to the school-optimal
-    legal assignment.  One student-proposing run starts the upward walk and
-    the enumeration, each from its own copy; the downward walk starts from a
-    copy of where the enumeration ends, the school-optimal stable assignment.
-    One pointer per student replays the chain from the top down the
-    student's list, marking the legal edges; a pair that does not start at
-    its student's pointer, or pointers that do not end at the bottom walk's
-    assignment, raise AssertionError.  O(|E|) + chain length.
+    The student-rotations of the restricted instance, in an elimination
+    order, are the mirror images of the school-rotations eliminated on the
+    way up to the student-optimal legal assignment, then the ones eliminated
+    on the way down to the school-optimal legal assignment, the stable
+    student-rotations among them.  One student-proposing run starts both
+    walks, the upward one from a copy.  One pointer per student replays the
+    chain from the top down the student's list, marking the legal edges; a
+    pair that does not start at its student's pointer, or pointers that do
+    not end at the bottom walk's assignment, raise AssertionError.
+    O(|E|) + chain length.
     """
     # looked up on engine per call, as the walks look up their own runs
     state, gs_counters = engine._gs_student_arrays(inst)
     up = school_side_run(inst, _start=state.copy())
-    mid = student_side_run(inst, mode=ENUMERATE, _start=state)
-    down = student_side_run(inst, _start=state.copy())
+    down = student_side_run(inst, _start=state)
     # the inverse of sigma on each school-rotation (b_i, a_i): the pairs (a_i, b_{i-1})
     rotations = ([[(tau[i][1], tau[i - 1][0]) for i in range(len(tau))]
                   for tau in reversed(up._rotations)]
-                 + mid._rotations + down._rotations)
+                 + down._rotations)
     s_pref, s_srank = inst._s_pref, inst._s_srank
     keep = [bytearray(len(row)) for row in inst._b_pref]
     at = list(up._match_pos)
@@ -147,7 +146,7 @@ def legal_subinstance(inst: Instance) -> LegalSubinstanceReport:
             keep[b_next][s_srank[a][k]] = 1
     if at != down._match_pos:
         raise AssertionError(_UNGLUED)
-    counters = gs_counters + up.counters + mid.counters + down.counters
+    counters = gs_counters + up.counters + down.counters
     return LegalSubinstanceReport(up.assignment, down.assignment, counters,
                                   inst, keep, rotations)
 

@@ -73,6 +73,11 @@ def test_consent_rates_are_monotone_in_rate():
         sample_consent(inst, 1.5, seed=4)
 
 
+def test_plan_cell_compares_consent_rates_by_value():
+    with pytest.raises(ValueError, match=r"repeated consent rates: \[1\]"):
+        PlanCell(GenConfig(10, 2), consent_rates=(1, 1.0))
+
+
 def test_instance_id_format():
     assert instance_id(GenConfig(100, 4, seed=9)) == "complete-100x4-uniform-s9"
     assert (instance_id(GenConfig(50, 10, list_length=6, quota_model=NYC, seed=3))

@@ -110,7 +110,7 @@ EX5_COUNTERS = {
     "eadam-fast": (10, 19, 1, 6, 0),
     "legal-student-opt": (10, 22, 1, 3, 0),
     "legal-school-opt": (4, 10, 0, 0, 0),
-    "legal-subgraph": (10, 34, 1, 3, 0),
+    "legal-subgraph": (10, 28, 1, 3, 0),
 }
 
 
@@ -417,6 +417,18 @@ def test_bench_strips_spaces_around_mechanism_names(capsys):
                        "--mechanisms", "gs, eadam-fast")
     assert code == 0
     assert [line.split(",")[5] for line in out.splitlines()[1:]] == ["gs", "eadam-fast"]
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    ("--mechanisms", "gs,gs", "repeated mechanisms: ['gs']"),
+    ("--consent-rates", "1,1", "repeated consent rates: [1.0]"),
+    ("--consent-rates", "1,1.0", "repeated consent rates: [1.0]"),
+    ("--seeds", "0,0", "repeated seeds: [0]"),
+], ids=["mechanisms", "rates", "rates-by-value", "seeds"])
+def test_bench_refuses_a_repeated_entry(capsys, flag, value, error):
+    # a repeat would run twice and write two rows with the same key
+    assert run(capsys, "bench", "--students", "6", "--schools", "2",
+               flag, value) == (1, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("argv", [

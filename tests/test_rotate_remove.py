@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legalassign import (Assignment, Counters, Instance, dominates, enumerate_stable,
-                         gs_student, is_stable, legal_fixed_point,
-                         legal_subinstance, rotate_remove)
+                         fixture_path, gs_student, is_stable, legal_fixed_point,
+                         legal_subinstance, parse_instance, rotate_remove)
 from legalassign.benchgen import GenConfig, generate
-from legalassign.engine import ENUMERATE, LEGAL, student_side_run
+from legalassign.engine import (ENUMERATE, LEGAL, all_rotations, school_side_run,
+                                student_side_run)
 from legalassign.gs import _gs_school_arrays, _gs_student_arrays
 
 from _markets import random_market
-from _references import gs_school, legal_subinstance_reference, stable_edges
+from _references import legal_subinstance_reference, stable_edges
 
 # the module, which the package's rotate_remove function shadows
 rotate_remove_module = importlib.import_module("legalassign.rotate_remove")
@@ -141,6 +142,10 @@ def test_subinstance_matches_a_validating_build(seed):
     assert report.illegal_edges == frozenset(inst.edges()) - legal
 
 
+def _student_optimal(inst):
+    return _gs_student_arrays(inst)[0]
+
+
 def _assert_report_matches_reference(inst):
     report, ref = legal_subinstance(inst), legal_subinstance_reference(inst)
     assert report.legal_edges == ref.legal_edges
@@ -148,9 +153,11 @@ def _assert_report_matches_reference(inst):
     assert report.student_optimal == ref.student_optimal
     assert report.school_optimal == ref.school_optimal
     assert report.rotations == ref.rotations
-    # the reference runs deferred acceptance three times, the report once
-    assert (report.counters + gs_student(inst).counters + gs_school(inst).counters
-            == ref.counters)
+    # one deferred-acceptance run, then both walks from the student-optimal
+    # stable assignment
+    assert report.counters == (gs_student(inst).counters
+                               + school_side_run(inst, _start=_student_optimal(inst)).counters
+                               + student_side_run(inst, _start=_student_optimal(inst)).counters)
     sub = report.instance
     assert sub == ref.instance
     assert (sub._s_srank, sub._b_rrank) == (ref.instance._s_srank, ref.instance._b_rrank)
@@ -177,7 +184,7 @@ def test_legal_subinstance_runs_deferred_acceptance_once(ex5):
 
 
 def _assert_enumeration_ends_school_optimal(inst):
-    # the downward walk of legal_subinstance starts where the enumeration ends
+    # all_rotations reads the stable lattice off this walk, down to its bottom
     state, _ = _gs_student_arrays(inst)
     student_side_run(inst, mode=ENUMERATE, _start=state)
     assert state == _gs_school_arrays(inst)[0]
@@ -192,6 +199,28 @@ def test_enumeration_ends_school_optimal():
 def test_enumeration_ends_school_optimal_on_larger_markets(seed):
     rng = random.Random(seed)
     _assert_enumeration_ends_school_optimal(
+        random_market(rng, max_students=40, max_schools=8, max_quota=4))
+
+
+def _assert_downward_walk_passes_the_stable_lattice(inst):
+    # the downward walk starts at the student-optimal stable assignment: it
+    # must still end at the school-optimal legal one, which rotate_remove
+    # reaches from the school-optimal stable start, and eliminate every
+    # stable student-rotation on the way
+    report = legal_subinstance(inst)
+    assert report.school_optimal == rotate_remove(inst, "students").assignment
+    assert set(all_rotations(inst, "students")) <= set(report.rotations)
+
+
+def test_downward_walk_passes_the_stable_lattice():
+    for seed in range(300):
+        _assert_downward_walk_passes_the_stable_lattice(random_market(random.Random(seed)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_downward_walk_passes_the_stable_lattice_on_larger_markets(seed):
+    rng = random.Random(seed)
+    _assert_downward_walk_passes_the_stable_lattice(
         random_market(rng, max_students=40, max_schools=8, max_quota=4))
 
 
@@ -218,38 +247,44 @@ def test_student_walk_settles_free_seat_sinks_in_order():
                                     rotations_eliminated=1, edges_removed=0, gs_runs=1)
 
 
-def _patch_enumeration(monkeypatch, edit):
-    """Make legal_subinstance's middle enumeration return edit(rotations)."""
+def _patch_down_chain(monkeypatch, edit):
+    """Make legal_subinstance's downward walk return edit(rotations)."""
     real = rotate_remove_module.student_side_run
 
     def patched(inst, *, mode=LEGAL, _start=None):
         run = real(inst, mode=mode, _start=_start)
-        if mode == ENUMERATE:
-            run = replace(run, _rotations=edit(run._rotations))
-        return run
+        return replace(run, _rotations=edit(run._rotations))
 
     monkeypatch.setattr(rotate_remove_module, "student_side_run", patched)
 
 
+def _down_chain(inst):
+    """The downward walk of legal_subinstance, on its own."""
+    return student_side_run(inst, _start=_student_optimal(inst))
+
+
+EX9 = parse_instance(fixture_path("ex9.inst").read_text())
+
+
 def test_legal_subinstance_leaves_the_enumeration_assignment_unnamed(ex9, monkeypatch):
+    # one student walk, in legal mode, gives the stable and the legal descent
     runs = []
     real = rotate_remove_module.student_side_run
 
     def recording(inst, **kwargs):
-        runs.append(real(inst, **kwargs))
-        return runs[-1]
+        runs.append((kwargs.get("mode", LEGAL), real(inst, **kwargs)))
+        return runs[-1][1]
 
     monkeypatch.setattr(rotate_remove_module, "student_side_run", recording)
     report = legal_subinstance(ex9)
-    mid, down = runs
-    assert "assignment" not in mid.__dict__
+    ((mode, down),) = runs
+    assert mode == LEGAL
     assert report.school_optimal == down.assignment
 
 
-@pytest.mark.parametrize("lost", range(6))
+@pytest.mark.parametrize("lost", range(len(_down_chain(EX9)._rotations)))
 def test_glue_rejects_a_chain_that_lost_a_rotation(ex9, monkeypatch, lost):
-    assert len(student_side_run(ex9, mode=ENUMERATE)._rotations) == 6
-    _patch_enumeration(monkeypatch, lambda rots: rots[:lost] + rots[lost + 1:])
+    _patch_down_chain(monkeypatch, lambda rots: rots[:lost] + rots[lost + 1:])
     with pytest.raises(AssertionError, match="differs between the two walks"):
         legal_subinstance(ex9)
 
@@ -257,8 +292,8 @@ def test_glue_rejects_a_chain_that_lost_a_rotation(ex9, monkeypatch, lost):
 def test_glue_rejects_a_pair_whose_next_school_is_not_below(ex9, monkeypatch):
     # a one-pair rotation sends its student to the school it already holds,
     # which is not further down its list: list.index's ValueError must not leak
-    end = student_side_run(ex9, mode=ENUMERATE)._match_pos
+    end = _down_chain(ex9)._match_pos
     stay = [(0, ex9._s_pref[0][end[0]])]
-    _patch_enumeration(monkeypatch, lambda rots: rots + [stay])
+    _patch_down_chain(monkeypatch, lambda rots: rots + [stay])
     with pytest.raises(AssertionError, match="differs between the two walks"):
         legal_subinstance(ex9)

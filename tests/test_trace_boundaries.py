@@ -33,7 +33,6 @@ EXPECTED = {
     "legal-subgraph": {("rotate_remove.legal_subinstance", None),
                        ("engine.school_side_run", "legal"),
                        ("engine.student_side_run", "legal"),
-                       ("engine.student_side_run", "enumerate"),
                        ("gs.student", None)},
 }
 
