@@ -252,6 +252,16 @@ def _positive_seconds(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    """An integer above 0."""
+    try:
+        if (n := int(text)) > 0:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves it unchanged."""
@@ -280,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     op = sub.add_parser("oracle", help="brute-force enumeration and checks")
     op.add_argument("what", choices=("legal", "stable", "verify"))
     op.add_argument("--input", required=True, metavar="FILE")
-    op.add_argument("--cap", type=int, default=DEFAULT_CAP,
+    op.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
                     help="abort if the assignment universe exceeds this size")
     op.add_argument("--output", metavar="FILE")
     op.set_defaults(func=_cmd_oracle)
@@ -300,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     la.set_defaults(func=_cmd_latin_aux)
     lc = lsub.add_parser("count", help="count stable and legal assignments")
     lc.add_argument("--input", required=True, metavar="FILE")
-    lc.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    lc.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     lc.add_argument("--output", metavar="FILE")
     lc.set_defaults(func=_cmd_latin_count)
 

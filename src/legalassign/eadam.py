@@ -24,6 +24,9 @@ class ConsentSet:
 
     @classmethod
     def of(cls, students: Iterable[str]) -> "ConsentSet":
+        if isinstance(students, str):
+            raise InvalidInstanceError(
+                f"consent set is a string, {students!r}, not a collection of names")
         return cls(frozenset(students))
 
     def validate(self, inst: Instance) -> None:

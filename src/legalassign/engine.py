@@ -7,9 +7,16 @@ one path entry.  On the student side in legal mode, two sinks need no
 entry: a school with a free seat, and a school whose worst member has
 already retired.  The scan that reaches either deletes the edge and goes
 on.  Closing a cycle eliminates the corresponding rotation and truncates
-the path.  Every preference cell is scanned at most once, plus one re-scan
-per eliminated rotation, so a full run costs O(|E|).  New paths start at
-the agents in roster order; the outputs do not depend on that order.
+the path.  Each pointer passes each preference cell at most once, plus one
+re-scan per eliminated rotation, so a full run costs O(|E|).  New paths
+start at the agents in roster order; the outputs do not depend on that
+order.
+
+Scans jump between candidate cells with ``bytearray.find``: the start
+state fixes every cell that can ever stop a scan, and one mask per
+scanning agent flags them.  Where the candidates are too many for that to
+pay, the scan steps through every cell.  Either way the walk is the same,
+and ``edge_scans`` counts the distance the pointers move.
 
 The modes of the walks:
   - legal:     rotate-remove; sinks delete illegal edges (finds legal optima)
@@ -25,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
+from operator import add
 from typing import Sequence
 
 from .gs import (Counters, _MatchState, _as_assignment, _gs_school_arrays,
@@ -34,6 +43,9 @@ from .model import (Assignment, Instance, SCHOOLS, STUDENTS, _check_side,
 from .rotations import Rotation, sigma
 
 _EMPTY = -1  # shared empty sink; also the "no student" marker in path entries
+#: the walks build candidate masks only when the candidate cells are at most
+#: this share of the cells their pointers will pass
+_MASK_SHARE = 0.2
 
 LEGAL = "legal"
 CONSENT = "consent"
@@ -83,6 +95,28 @@ def _named_rotations(inst: Instance, side: str,
                  for rot in rotations)
 
 
+def _candidate_masks(deg: list[int], p: list[int], rows: list[list[int]],
+                     cranks: list[list[int]], prefix: list[int]) -> list[bytearray] | None:
+    """Per scanning agent, a mask over its list with a 1 at every cell that
+    can ever stop its scan, and a sentinel 1 one past its end.
+
+    The masks are filled from the other side: the first ``prefix[x]`` cells
+    of agent x's row ``rows[x]``, at the positions ``cranks[x]`` on the
+    scanning agents' lists, are the candidates.  None, and the walk steps
+    cell by cell, when the candidates exceed ``_MASK_SHARE`` of the cells
+    the pointers ``p`` will pass.
+    """
+    if sum(prefix) > _MASK_SHARE * (sum(deg) - sum(p)):
+        return None
+    masks = list(map(bytearray, map(add, deg, repeat(1))))  # a zero per cell, then the sentinel
+    for mask in masks:
+        mask[-1] = 1
+    for row, crank, k in compress(zip(rows, cranks, prefix), prefix):
+        for i in range(k):
+            masks[row[i]][crank[i]] = 1
+    return masks
+
+
 def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[int],
                      consenting: Sequence[bool] | None,
                      gs_counters: Counters) -> EngineRun:
@@ -95,6 +129,9 @@ def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[in
     # schools with a free seat can never gain a suitor here: in a stable
     # assignment nobody prefers them, and students only improve from now on
     p = [worst[b] if fill[b] == quota[b] else deg[b] for b in range(n_b)]
+    # students only move up, so only a cell above its student's start match
+    # (any cell of an unmatched student) can stop a school's scan
+    masks = _candidate_masks(deg, p, inst._s_pref, inst._s_srank, match_pos)
     f = 0
     path_a: list[int] = []   # student arriving at each entry; _EMPTY at the head
     path_b: list[int] = []   # school of each entry; _EMPTY is the shared sink
@@ -135,10 +172,11 @@ def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[in
         row_a = b_pref[tail]
         row_r = b_rrank[tail]
         d = deg[tail]
+        mask = None if masks is None else masks[tail]
         pos = start = p[tail]
         found = -1
         while True:
-            pos += 1
+            pos = pos + 1 if mask is None else mask.find(1, pos + 1)
             if pos >= d:
                 scans += pos - start - 1
                 break
@@ -165,7 +203,9 @@ def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[in
             del path_b[l:]
             del path_a[l:]
             if l > 0:
-                p[path_b[-1]] -= 1  # its successor edge needs one re-scan
+                # its successor edge needs one re-scan; a scan found that
+                # cell, so a mask flags it
+                p[path_b[-1]] -= 1
             continue
         path_a.append(found)
         path_b.append(nxt)  # _EMPTY when found is unmatched
@@ -197,6 +237,12 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
     # an unmatched student stays unmatched: no school with a free seat lists
     # him (stability), and full schools only improve their worst member
     p = [match_pos[a] if match_school[a] >= 0 else deg[a] for a in range(n_a)]
+    # a school's worst member only improves, so only a cell above the
+    # school's start worst member, or at a school with a free seat, can
+    # stop a student's scan
+    masks = _candidate_masks(deg, p, b_pref, inst._b_rrank,
+                             [len(b_pref[b]) if under_quota[b] else worst[b]
+                              for b in range(n_b)])
     # two sinks need no path entry in legal mode: a school with a free seat,
     # and a school whose worst member has retired (a retired student is never
     # on the path).  The scan deletes the edge to such a school and goes on
@@ -243,10 +289,11 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
         row_b = s_pref[tail]
         row_r = s_srank[tail]
         d = deg[tail]
+        mask = None if masks is None else masks[tail]
         pos = start = p[tail]
         found = -1
         while True:
-            pos += 1
+            pos = pos + 1 if mask is None else mask.find(1, pos + 1)
             if pos >= d:
                 scans += pos - start - 1
                 break

@@ -23,9 +23,10 @@ class Counters:
     """Operation counts of one run, or the sum of several runs (``+``).
 
     Deferred acceptance counts its proposals and the preference cells it
-    touches; a rotation walk counts its own cell scans (``edge_scans``),
-    eliminated rotations and removed edges.  Each deferred-acceptance run
-    counts one in ``gs_runs``.
+    touches; a rotation walk counts the distance its scan pointers move
+    (``edge_scans``, whether a scan steps through every cell or jumps
+    between candidate cells), eliminated rotations and removed edges.
+    Each deferred-acceptance run counts one in ``gs_runs``.
     """
     proposals: int = 0
     cells_scanned: int = 0

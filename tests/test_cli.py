@@ -159,6 +159,17 @@ def test_bench_refuses_a_timeout_that_is_not_positive(capsys, timeout):
                         f"of seconds, got '{timeout}'\n")
 
 
+@pytest.mark.parametrize("cap", ["0", "-1", "1.5", "abc"])
+@pytest.mark.parametrize("argv", [("oracle", "legal", "--input", fx("ex1.inst")),
+                                  ("oracle", "verify", "--input", fx("ex1.inst")),
+                                  ("latin", "count", "--input", fx("ex9.matrix"))],
+                         ids=["oracle-legal", "oracle-verify", "latin-count"])
+def test_cap_must_be_a_positive_integer(capsys, argv, cap):
+    code, out, err = run(capsys, *argv, f"--cap={cap}")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument --cap: must be a positive integer, got '{cap}'\n")
+
+
 def test_oracle_legal_blocks(capsys):
     code, out, _ = run(capsys, "oracle", "legal", "--input", fx("ex1.inst"))
     assert code == 0

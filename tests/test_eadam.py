@@ -1,9 +1,10 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legalassign import (Assignment, ConsentSet, gs_student,
+from legalassign import (Assignment, ConsentSet, InvalidInstanceError, gs_student,
                          gs_student_traced, is_constrained_efficient,
                          kesten_eadam, parse_latin, rotate_remove,
                          rotate_remove_consent, simplified_eadam)
@@ -108,6 +109,15 @@ def test_consent_validation(ex5):
         except ValueError:
             continue
         raise AssertionError(f"{fn.__name__} accepted an unknown student")
+
+
+@pytest.mark.parametrize("names", ["ab", "a1"])
+def test_consent_set_refuses_a_string(names):
+    # a string is not read one character per name
+    with pytest.raises(InvalidInstanceError) as err:
+        ConsentSet.of(names)
+    assert str(err.value) == (f"consent set is a string, {names!r}, "
+                              "not a collection of names")
 
 
 @given(st.integers(0, 10 ** 6))

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legalassign import (Assignment, Instance, all_rotations, school_side_run,
-                         sigma, student_side_run)
+from legalassign import (Assignment, GenConfig, Instance, all_rotations, engine, generate,
+                         legal_subinstance, rotate_remove, school_side_run, sigma,
+                         student_side_run)
 from legalassign.gs import _as_assignment
 from _markets import random_consent, random_market
 from _references import all_rotations_naive, rotate_remove_naive
@@ -140,3 +141,62 @@ def test_scan_budget_random():
         inst = random_market(rng)
         for run in (school_side_run(inst), student_side_run(inst)):
             assert run.counters.total_scans <= 8 * inst.n_edges + 8
+
+
+def _walks(inst, consenting):
+    """Every walk the solvers run: both legal walks (the student one from both
+    starts), the consent walk and the enumeration."""
+    top = engine._gs_student_arrays(inst)[0]
+    bottom = engine._gs_school_arrays(inst)[0]
+    return [school_side_run(inst, _start=top.copy()),
+            school_side_run(inst, mode="consent", consenting=consenting, _start=top.copy()),
+            student_side_run(inst, _start=bottom.copy()),
+            student_side_run(inst, _start=top.copy()),
+            student_side_run(inst, mode="enumerate", _start=top.copy())]
+
+
+def _trail(run):
+    return (run.counters, run._rotations, run._removed_a, run._removed_b,
+            run._match_school, run._match_pos)
+
+
+def _mask_pool():
+    for seed in range(300):
+        rng = random.Random(seed)
+        yield random_market(rng), rng
+    for seed in range(12):
+        rng = random.Random(seed)
+        yield random_market(rng, max_students=40, max_schools=8, max_quota=4), rng
+
+
+def test_candidate_masks_do_not_change_a_walk(monkeypatch):
+    # the same rotations, removals in order, matches and counters whether
+    # the scans jump between candidate cells or step through every cell
+    for inst, rng in _mask_pool():
+        consenting = [a in random_consent(rng, inst).consenting for a in inst.students]
+        trails = []
+        for share in (float("inf"), -1.0):  # masks always, masks never
+            monkeypatch.setattr(engine, "_MASK_SHARE", share)
+            trails.append([_trail(run) for run in _walks(inst, consenting)])
+        assert trails[0] == trails[1], inst.to_text()
+
+
+def test_mask_gate_on_the_pinned_markets(monkeypatch):
+    # the pins of test_walk_pins cover both paths: square-complete's walks
+    # jump between candidates, tall-top10 market 0's student walk steps
+    picked = []
+    build = engine._candidate_masks
+
+    def spy(*args):
+        masks = build(*args)
+        picked.append(masks is not None)
+        return masks
+
+    monkeypatch.setattr(engine, "_candidate_masks", spy)
+    square = generate(GenConfig(300, 300, quota_lo=1, quota_hi=1, seed=0))
+    rotate_remove(square, "schools")
+    rotate_remove(square, "students")
+    legal_subinstance(square)  # the upward walk, then the downward one
+    rotate_remove(generate(GenConfig(2000, 20, quota_model="nyc", list_length=10, seed=0)),
+                  "students")
+    assert picked == [True, True, True, True, False]
