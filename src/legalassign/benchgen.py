@@ -1,13 +1,14 @@
-"""Random market generators and an instrumented benchmark harness.
+"""A random market generator and an instrumented benchmark harness.
 
-Two generators are provided: complete bipartite markets with uniform
-permutation preferences and uniform quotas, and truncated markets where
-students rank only a top-k sample (quotas sized to the student/school
-ratio).  Both hand their index rows to the checks and cross-rank join that
-a parsed file goes through, so generated markets are validated like any
-other.  The harness runs a set of mechanisms over a plan of generated
-instances, verifies the mechanism outputs agree where they must, and
-emits one CSV row per (instance, mechanism, consent rate, repetition).
+``generate`` is the one generator entry point.  It gives complete
+bipartite markets with uniform permutation preferences, or, with a list
+length, truncated markets where students rank only a top-k sample; quotas
+are uniform in given bounds or sized to the student/school ratio.  It
+hands its index rows to the checks and cross-rank join that a parsed file
+goes through, so generated markets are validated like any other.  The
+harness runs a set of mechanisms over a plan of generated instances,
+verifies the mechanism outputs agree where they must, and emits one CSV
+row per (instance, mechanism, consent rate, repetition).
 """
 
 from __future__ import annotations
@@ -89,20 +90,6 @@ CONSENT_MECHANISMS = tuple(m for m, e in _TABLE.items() if e.consent)
 PRODUCTION_MECHANISMS = tuple(m for m, e in _TABLE.items() if not e.reference)
 
 
-class Counts(NamedTuple):
-    """The counter columns of a bench row and of ``solve --counters``."""
-    proposals: int
-    edge_scans: int          # walk scans plus deferred-acceptance cells
-    rotations_eliminated: int
-    edges_removed: int
-    gs_reruns: int           # deferred-acceptance runs after the first
-
-    @classmethod
-    def of(cls, c: Counters) -> Counts:
-        return cls(c.proposals, c.total_scans, c.rotations_eliminated,
-                   c.edges_removed, c.gs_runs - 1)
-
-
 class BenchError(RuntimeError):
     pass
 
@@ -168,67 +155,36 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, stream])))
 
 
-def _names(prefix: str, n: int) -> list[str]:
-    return [f"{prefix}{i + 1}" for i in range(n)]
-
-
-def _quotas(cfg: GenConfig, rng: np.random.Generator) -> list[int]:
-    lo, hi = cfg.quota_bounds()
-    return rng.integers(lo, hi + 1, size=cfg.n_schools).tolist()
-
-
-def _instance(n_a: int, n_b: int, quota: list[int], s_pref: list[list[int]],
-              b_pref: list[list[int]]) -> Instance:
-    """The market of generated index rows, named a1.. and b1..; it passes
-    the checks and cross-rank join of a parsed file."""
-    schools = _names("b", n_b)
-    return Instance._from_rows(_names("a", n_a), schools, dict(zip(schools, quota)),
-                               s_pref, b_pref)
-
-
-def gen_complete(cfg: GenConfig) -> Instance:
-    """Complete bipartite market: every preference list is an independent
-    uniform permutation of the other side, quotas drawn per quota_model."""
-    if cfg.list_length is not None:
-        raise InvalidInstanceError("config requests truncated lists; use gen_truncated")
-    rng = _rng(cfg.seed, _STREAM_INSTANCE)
-    n_a, n_b = cfg.n_students, cfg.n_schools
-
-    s_pref = rng.permuted(np.tile(np.arange(n_b), (n_a, 1)), axis=1)
-    b_pref = rng.permuted(np.tile(np.arange(n_a), (n_b, 1)), axis=1)
-    quota = _quotas(cfg, rng)
-    return _instance(n_a, n_b, quota, s_pref.tolist(), b_pref.tolist())
-
-
-def gen_truncated(cfg: GenConfig) -> Instance:
-    """Truncated market: each student ranks a uniform top-k sample of the
-    schools; each school ranks exactly the students that listed it, in
-    uniform random order."""
-    if cfg.list_length is None:
-        raise InvalidInstanceError("config requests complete lists; use gen_complete")
-    k = cfg.list_length
-    if k > cfg.n_schools:
-        warnings.warn(
-            f"list length {k} exceeds {cfg.n_schools} schools; clamping",
-            RuntimeWarning, stacklevel=2)
-        k = cfg.n_schools
-    rng = _rng(cfg.seed, _STREAM_INSTANCE)
-    n_a, n_b = cfg.n_students, cfg.n_schools
-
-    s_pref: list[list[int]] = [
-        rng.choice(n_b, size=k, replace=False).tolist() for _ in range(n_a)]
-    listers: list[list[int]] = [[] for _ in range(n_b)]
-    for a, row in enumerate(s_pref):
-        for b in row:
-            listers[b].append(a)
-    b_pref: list[list[int]] = [
-        [row[i] for i in rng.permutation(len(row))] for row in listers]
-    quota = _quotas(cfg, rng)
-    return _instance(n_a, n_b, quota, s_pref, b_pref)
-
-
 def generate(cfg: GenConfig) -> Instance:
-    return gen_complete(cfg) if cfg.list_length is None else gen_truncated(cfg)
+    """The random market of cfg: students a1.., schools b1...
+
+    Complete lists are independent uniform permutations of the other side.
+    Truncated lists: each student ranks a uniform top-k sample of the
+    schools, and each school ranks exactly the students that listed it, in
+    uniform random order.  Quotas are drawn last, per quota_model.  The
+    index rows pass the checks and cross-rank join of a parsed file.
+    """
+    n_a, n_b, k = cfg.n_students, cfg.n_schools, cfg.list_length
+    if k is not None and k > n_b:
+        warnings.warn(f"list length {k} exceeds {n_b} schools; clamping",
+                      RuntimeWarning, stacklevel=2)
+        k = n_b
+    rng = _rng(cfg.seed, _STREAM_INSTANCE)
+    if k is None:
+        s_pref = rng.permuted(np.tile(np.arange(n_b), (n_a, 1)), axis=1).tolist()
+        b_pref = rng.permuted(np.tile(np.arange(n_a), (n_b, 1)), axis=1).tolist()
+    else:
+        s_pref = [rng.choice(n_b, size=k, replace=False).tolist() for _ in range(n_a)]
+        listers: list[list[int]] = [[] for _ in range(n_b)]
+        for a, row in enumerate(s_pref):
+            for b in row:
+                listers[b].append(a)
+        b_pref = [[row[i] for i in rng.permutation(len(row))] for row in listers]
+    schools = [f"b{j + 1}" for j in range(n_b)]
+    lo, hi = cfg.quota_bounds()
+    quota = dict(zip(schools, rng.integers(lo, hi + 1, size=n_b).tolist()))
+    return Instance._from_rows([f"a{i + 1}" for i in range(n_a)], schools, quota,
+                               s_pref, b_pref)
 
 
 def sample_consent(inst: Instance, rate: float, seed: int) -> ConsentSet:
@@ -265,7 +221,7 @@ class BenchRecord:
     def __post_init__(self) -> None:
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism: {self.mechanism!r}")
-        if min(getattr(self, f) for f in Counts._fields) < 0:
+        if min(getattr(self, f) for f in _COUNT_COLUMNS) < 0:
             raise ValueError("counters must be non-negative")
 
     def csv_row(self) -> list[str]:
@@ -273,6 +229,7 @@ class BenchRecord:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
+_COUNT_COLUMNS = tuple(Counters().report())
 _CSV_FORMATS = {"consent_rate": "g", "wall_time_ms": ".3f"}
 
 
@@ -317,12 +274,11 @@ def instance_id(cfg: GenConfig) -> str:
 
 
 def _run_one(mechanism: str, inst: Instance, consent: ConsentSet | None,
-             ) -> tuple[object, Counts]:
-    """Run one mechanism; return its output and its counts."""
+             ) -> tuple[object, Counters]:
+    """Run one mechanism; return its output and its counters."""
     if mechanism not in _TABLE:
         raise ValueError(f"unknown mechanism: {mechanism!r}")
-    out, counters = _TABLE[mechanism].run(inst, consent)
-    return out, Counts.of(counters)
+    return _TABLE[mechanism].run(inst, consent)
 
 
 def _write_reproducer(base_dir: str | None, iid: str, inst: Instance,
@@ -403,7 +359,7 @@ def run_bench(plan: Sequence[PlanCell], *, timeout_s: float | None = None,
             for rep in range(cell.repetitions):
                 for mech in cell.mechanisms:
                     t0 = time.perf_counter()
-                    out, nums = _run_one(mech, inst, consent)
+                    out, counters = _run_one(mech, inst, consent)
                     elapsed = time.perf_counter() - t0
                     if timeout_s is not None and elapsed > timeout_s:
                         raise MechanismTimeout(mech, iid, elapsed)
@@ -412,7 +368,7 @@ def run_bench(plan: Sequence[PlanCell], *, timeout_s: float | None = None,
                     records.append(BenchRecord(
                         iid, inst.n_students, inst.n_schools, inst.n_edges,
                         cfg.quota_model, mech, rate, cfg.seed, rep,
-                        elapsed * 1000.0, *nums))
+                        elapsed * 1000.0, **counters.report()))
             _check_agreement(outputs, inst, consent, cfg, rate, iid, repro_dir)
     records.sort(key=lambda r: (r.instance_id, r.consent_rate,
                                 mech_order[r.mechanism], r.repetition))

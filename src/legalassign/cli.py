@@ -21,14 +21,16 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import Sequence
 
 from .benchgen import (CONSENT_MECHANISMS, MECHANISMS, PRODUCTION_MECHANISMS,
-                       QUOTA_MODELS, UNIFORM, BenchError, Counts, GenConfig,
-                       PlanCell, _repeated, _run_one, generate, run_bench,
-                       sample_consent, write_csv)
+                       QUOTA_MODELS, UNIFORM, BenchError, GenConfig, PlanCell,
+                       _repeated, _run_one, generate, run_bench, sample_consent,
+                       write_csv)
 from .eadam import ConsentSet
+from .gs import Counters
 from .latin import (auxiliary_instance, format_latin, instance_from_latin,
                     parse_latin, xor_latin)
 from .model import Instance, parse_instance, reduce_one_to_one
@@ -40,7 +42,8 @@ _DOMAIN_ERRORS = (ValueError, OSError, OracleCapError, BenchError)
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The file's text; a leading UTF-8 byte-order mark is dropped."""
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -59,8 +62,8 @@ def _edge_lines(a: str, schools: list[str]) -> str:
     return f"{a} " + f"\n{a} ".join(schools) + "\n" if schools else ""
 
 
-def _print_counters(counts: Counts) -> None:
-    for key, value in zip(counts._fields, counts):
+def _print_counters(counters: Counters) -> None:
+    for key, value in counters.report().items():
         print(f"{key}={value}", file=sys.stderr)
 
 
@@ -85,7 +88,7 @@ def _cmd_solve(args) -> int:
 
     if args.mechanism == "legal-subgraph":
         rep = legal_subinstance(inst)
-        counts = Counts.of(rep.counters)
+        counters = rep.counters
         if args.format == "json":
             legal: list[list[str]] = []
             illegal: list[list[str]] = []
@@ -112,7 +115,7 @@ def _cmd_solve(args) -> int:
             parts.append(rep.school_optimal.format(inst))
             text = "".join(parts)
     else:
-        assignment, counts = _run_one(args.mechanism, inst, consent)
+        assignment, counters = _run_one(args.mechanism, inst, consent)
         if args.format == "json":
             text = json.dumps({
                 "mechanism": args.mechanism,
@@ -123,7 +126,7 @@ def _cmd_solve(args) -> int:
 
     _emit(text, args.output)
     if args.counters:
-        _print_counters(counts)
+        _print_counters(counters)
     return 0
 
 
@@ -184,6 +187,16 @@ def _cmd_latin_count(args) -> int:
 
 # ---------------------------------------------------------------- gen / bench
 
+def _warnings_as_lines(cmd):
+    """Run cmd printing each warning as one ``warning: ...`` line on stderr."""
+    def run(args) -> int:
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            return cmd(args)
+    return run
+
+
 def _market_config(args, seed: int) -> GenConfig:
     return GenConfig(n_students=args.students, n_schools=args.schools,
                      quota_model=args.quota_model, quota_lo=args.quota_lo,
@@ -191,11 +204,13 @@ def _market_config(args, seed: int) -> GenConfig:
                      seed=seed)
 
 
+@_warnings_as_lines
 def _cmd_gen(args) -> int:
     _emit(generate(_market_config(args, args.seed)).to_text(), args.output)
     return 0
 
 
+@_warnings_as_lines
 def _cmd_bench(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if not seeds:

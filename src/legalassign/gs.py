@@ -35,10 +35,18 @@ class Counters:
     edges_removed: int = 0
     gs_runs: int = 0
 
-    @property
-    def total_scans(self) -> int:
-        """Preference cells touched by deferred acceptance plus the walk."""
-        return self.edge_scans + self.cells_scanned
+    def report(self) -> dict[str, int]:
+        """The five values that ``solve --counters`` and a bench row print.
+
+        ``edge_scans`` adds deferred acceptance's cells to the walk's
+        scans; ``gs_reruns`` counts the deferred-acceptance runs after the
+        first.
+        """
+        return {"proposals": self.proposals,
+                "edge_scans": self.edge_scans + self.cells_scanned,
+                "rotations_eliminated": self.rotations_eliminated,
+                "edges_removed": self.edges_removed,
+                "gs_reruns": self.gs_runs - 1}
 
     def __add__(self, other: Counters) -> Counters:
         return Counters(*map(add, vars(self).values(), vars(other).values()))

@@ -8,7 +8,7 @@ from legalassign import (ConsentSet, EqualityViolation, GenConfig,
                          MechanismTimeout, PlanCell, generate, gs_student,
                          run_bench, sample_consent, write_csv)
 from legalassign.benchgen import (CSV_COLUMNS, MECHANISMS, NYC, RNG_NAME,
-                                  RNG_VERSION, gen_truncated, instance_id)
+                                  RNG_VERSION, instance_id)
 import legalassign.benchgen as benchgen
 
 
@@ -46,7 +46,7 @@ def test_truncated_market_shape():
 def test_truncation_clamps_with_warning():
     cfg = GenConfig(10, 3, list_length=5, seed=0)
     with pytest.warns(RuntimeWarning):
-        inst = gen_truncated(cfg)
+        inst = generate(cfg)
     assert all(len(inst.student_prefs[a]) == 3 for a in inst.students)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from legalassign import (Counters, Instance, LegalSubinstanceReport, fixture_path,
                          gs_student, legal_subinstance, parse_instance, sample_consent)
+from legalassign.benchgen import CSV_COLUMNS
 from legalassign.cli import main
 
 from _markets import random_market
@@ -124,6 +125,15 @@ def test_solve_counters_per_mechanism(capsys, mechanism):
     keys = ("proposals", "edge_scans", "rotations_eliminated",
             "edges_removed", "gs_reruns")
     assert err == "".join(f"{k}={v}\n" for k, v in zip(keys, EX5_COUNTERS[mechanism]))
+
+
+def test_counter_names_agree_across_outputs(capsys):
+    _, _, err = run(capsys, "solve", "--mechanism", "gs",
+                    "--input", fx("ex5.inst"), "--counters")
+    printed = [line.split("=")[0] for line in err.splitlines()]
+    start = CSV_COLUMNS.index("proposals")
+    assert printed == list(CSV_COLUMNS[start:start + 5]) == list(Counters().report()) == [
+        "proposals", "edge_scans", "rotations_eliminated", "edges_removed", "gs_reruns"]
 
 
 def test_bench_default_runs_production_mechanisms(capsys):
@@ -460,3 +470,29 @@ def test_consent_file_naming_an_unknown_student_is_refused(tmp_path, capsys, mec
     assert run(capsys, "solve", "--mechanism", mechanism, "--input", fx("ex5.inst"),
                "--consent", str(consent)) == (
         1, "", "error: consent set names unknown students: ['zz']\n")
+
+
+@pytest.mark.parametrize("argv, bom_file", [
+    (("solve", "--mechanism", "gs", "--input", "{}"), "ex5.inst"),
+    (("solve", "--mechanism", "eadam-fast", "--input", fx("ex5.inst"),
+      "--consent", "{}"), "ex5-consent.txt"),
+    (("latin", "aux", "--input", "{}"), "ex9.matrix"),
+], ids=["instance", "consent", "latin-matrix"])
+def test_a_utf8_byte_order_mark_is_dropped(tmp_path, capsys, argv, bom_file):
+    marked = tmp_path / bom_file
+    marked.write_text("\ufeff" + Path(fx(bom_file)).read_text(encoding="utf-8"),
+                      encoding="utf-8")
+    plain = run(capsys, *(a.format(fx(bom_file)) for a in argv))
+    assert plain[0] == 0
+    assert run(capsys, *(a.format(marked) for a in argv)) == plain
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--students", "3", "--schools", "2", "--list-length", "5"),
+    ("bench", "--students", "3", "--schools", "2", "--list-length", "5",
+     "--mechanisms", "gs"),
+], ids=["gen", "bench"])
+def test_generator_warning_is_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out
+    assert err == "warning: list length 5 exceeds 2 schools; clamping\n"

@@ -45,7 +45,7 @@ def test_assignment_is_named_on_first_read(ex3, walk):
 
 def test_scan_budget_ex4(ex4):
     run = school_side_run(ex4)
-    assert run.counters.total_scans <= 8 * ex4.n_edges
+    assert run.counters.report()["edge_scans"] <= 8 * ex4.n_edges
 
 
 def test_consent_mode_keeps_ex8_output(ex4, consent8):
@@ -140,7 +140,7 @@ def test_scan_budget_random():
     for _ in range(120):
         inst = random_market(rng)
         for run in (school_side_run(inst), student_side_run(inst)):
-            assert run.counters.total_scans <= 8 * inst.n_edges + 8
+            assert run.counters.report()["edge_scans"] <= 8 * inst.n_edges + 8
 
 
 def _walks(inst, consenting):
