@@ -191,6 +191,7 @@ def _warnings_as_lines(cmd):
     """Run cmd printing each warning as one ``warning: ...`` line on stderr."""
     def run(args) -> int:
         with warnings.catch_warnings():
+            warnings.simplefilter("always")
             warnings.showwarning = lambda message, *_: print(
                 f"warning: {message}", file=sys.stderr)
             return cmd(args)

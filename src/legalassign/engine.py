@@ -3,14 +3,14 @@
 Instead of materializing a rotation digraph per iteration, the solvers grow
 a single directed path, school (or student) by school, using per-agent scan
 positions that only move forward.  Reaching a sink deletes one edge and pops
-one path entry.  On the student side in legal mode, two sinks need no
-entry: a school with a free seat, and a school whose worst member has
-already retired.  The scan that reaches either deletes the edge and goes
-on.  Closing a cycle eliminates the corresponding rotation and truncates
-the path.  Each pointer passes each preference cell at most once, plus one
-re-scan per eliminated rotation, so a full run costs O(|E|).  New paths
-start at the agents in roster order; the outputs do not depend on that
-order.
+one path entry.  On the student side, two sinks need no entry: a school
+with a free seat, and a school whose worst member has already retired.  The
+scan that reaches either deletes the edge and goes on, so the student path
+holds only students.  Closing a cycle eliminates the corresponding rotation
+and truncates the path.  Each pointer passes each preference cell at most
+once, plus one re-scan per eliminated rotation, so a full run costs O(|E|).
+New paths start at the agents in roster order; the outputs do not depend on
+that order.
 
 Scans jump between candidate cells with ``bytearray.find``: the start
 state fixes every cell that can ever stop a scan, and one mask per
@@ -18,15 +18,12 @@ scanning agent flags them.  Where the candidates are too many for that to
 pay, the scan steps through every cell.  Either way the walk is the same,
 and ``edge_scans`` counts the distance the pointers move.
 
-The modes of the walks:
+The modes of the school walk (the student walk is always legal):
   - legal:     rotate-remove; sinks delete illegal edges (finds legal optima)
-  - consent:   school side only; legal plus the nonconsent cascade that
-               seals a school's list when the student losing out did not
-               consent
-  - enumerate: student side only; no deletions; a sink permanently retires
-               the whole path, which walks the stable lattice down and
-               reports every student-rotation, for all_rotations alone.
-               The school-rotations are their sigma images
+  - consent:   legal plus the nonconsent cascade that seals a school's list
+               when the student losing out did not consent
+
+``all_rotations`` reads the stable rotations off the legal student walk.
 """
 from __future__ import annotations
 
@@ -49,7 +46,6 @@ _MASK_SHARE = 0.2
 
 LEGAL = "legal"
 CONSENT = "consent"
-ENUMERATE = "enumerate"
 
 
 @dataclass(frozen=True)
@@ -221,7 +217,7 @@ def _run_school_side(inst: Instance, match_school: list[int], match_pos: list[in
 
 
 def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[int],
-                      mode: str, gs_counters: Counters) -> EngineRun:
+                      gs_counters: Counters) -> EngineRun:
     s_pref, s_srank = inst._s_pref, inst._s_srank
     b_pref = inst._b_pref
     n_a, n_b = inst.n_students, inst.n_schools
@@ -243,13 +239,9 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
     masks = _candidate_masks(deg, p, b_pref, inst._b_rrank,
                              [len(b_pref[b]) if under_quota[b] else worst[b]
                               for b in range(n_b)])
-    # two sinks need no path entry in legal mode: a school with a free seat,
-    # and a school whose worst member has retired (a retired student is never
-    # on the path).  The scan deletes the edge to such a school and goes on
-    settle_sinks = mode == LEGAL
     f = 0
     path_b: list[int] = []   # school arriving at each entry; _EMPTY at the head
-    path_a: list[int] = []   # student of each entry; _EMPTY is the shared sink
+    path_a: list[int] = []   # student of each entry
     on_path = [0] * n_a
     removed_a: list[int] = []
     removed_b: list[int] = []
@@ -266,22 +258,10 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
             path_a.append(f)
             on_path[f] = 1
         tail = path_a[-1]
-        if tail == _EMPTY or p[tail] >= deg[tail]:
-            if mode == ENUMERATE:
-                # the whole path is permanently stuck (its successor chain
-                # dead-ends here forever), so retire every student on it
-                for a in path_a:
-                    if a >= 0:
-                        p[a] = deg[a]
-                        on_path[a] = 0
-                path_b.clear()
-                path_a.clear()
-                continue
+        if p[tail] >= deg[tail]:
             b_in = path_b.pop()
             path_a.pop()
-            if tail >= 0:
-                on_path[tail] = 0
-                p[tail] = deg[tail]
+            on_path[tail] = 0
             if b_in >= 0:
                 removed_a.append(path_a[-1])
                 removed_b.append(b_in)
@@ -298,25 +278,22 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
                 scans += pos - start - 1
                 break
             b = row_b[pos]
-            if under_quota[b]:
-                if settle_sinks:
-                    removed_a.append(tail)
-                    removed_b.append(b)
+            if not under_quota[b]:
+                if row_r[pos] >= worst[b]:
                     continue
-            elif row_r[pos] >= worst[b]:
-                continue
-            elif settle_sinks and p[w := b_pref[b][worst[b]]] >= deg[w]:
-                removed_a.append(tail)
-                removed_b.append(b)
-                continue
-            found = b
-            scans += pos - start
-            break
+                if p[w := b_pref[b][worst[b]]] < deg[w]:
+                    found = b
+                    scans += pos - start
+                    break
+            # a free seat, or a worst member who has retired (a retired
+            # student is never on the path): a sink that needs no entry
+            removed_a.append(tail)
+            removed_b.append(b)
         p[tail] = pos
         if found < 0:
             continue
-        nxt = _EMPTY if under_quota[found] else b_pref[found][worst[found]]
-        if nxt >= 0 and on_path[nxt]:
+        nxt = b_pref[found][worst[found]]
+        if on_path[nxt]:
             l = on_path[nxt] - 1
             cyc = path_a[l:]
             partners = [found] + path_b[l + 1:]
@@ -326,12 +303,8 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
                 b = s_pref[a][pos]
                 flags = held[b]
                 flags[worst[b]] = 0          # its worst member moves on
-                r = s_srank[a][pos]
-                flags[r] = 1
-                w = worst[b] - 1
-                while not flags[w]:
-                    w -= 1
-                worst[b] = w
+                flags[s_srank[a][pos]] = 1
+                worst[b] = flags.rfind(1, 0, worst[b])
                 match_school[a] = b
                 match_pos[a] = pos
                 on_path[a] = 0
@@ -342,8 +315,7 @@ def _run_student_side(inst: Instance, match_school: list[int], match_pos: list[i
             continue
         path_b.append(found)
         path_a.append(nxt)
-        if nxt >= 0:
-            on_path[nxt] = len(path_a)
+        on_path[nxt] = len(path_a)
 
     return EngineRun(
         gs_counters + Counters(edge_scans=scans,
@@ -375,41 +347,52 @@ def school_side_run(inst: Instance, *, mode: str = LEGAL,
                             consenting, gs_counters)
 
 
-def student_side_run(inst: Instance, *, mode: str = LEGAL,
+def student_side_run(inst: Instance, *,
                      _start: _MatchState | None = None) -> EngineRun:
-    """Walk student-rotations downward; the mirror of school_side_run.
+    """Walk student-rotations downward to the school-optimal legal
+    assignment; the mirror of school_side_run in legal mode.
 
-    legal starts at the school-optimal stable assignment and descends to the
-    school-optimal legal assignment; enumerate starts at the student-optimal
-    one and reports every student-rotation on the way down, ending at the
-    school-optimal one.  ``_start`` is a start assignment already computed;
-    the walk changes it in place, keeps it as its result and counts no
-    deferred-acceptance run.  Legal mode may also start at the
-    student-optimal stable assignment: it then eliminates the stable
-    student-rotations too, on its way to the same end.
+    The walk starts at the school-optimal stable assignment, or at
+    ``_start``, a stable assignment already computed; it then changes
+    ``_start`` in place, keeps it as its result and counts no
+    deferred-acceptance run.  It deletes only illegal edges, which no
+    stable assignment uses, so from the student-optimal stable assignment
+    it eliminates every stable student-rotation on its way to the same end.
     """
-    if mode not in (LEGAL, ENUMERATE):
-        raise ValueError(f"unknown mode {mode!r}")
-    if _start is not None:
-        state, gs_counters = _start, Counters()
-    elif mode == ENUMERATE:
-        state, gs_counters = _gs_student_arrays(inst)
-    else:
-        state, gs_counters = _gs_school_arrays(inst)
-    return _run_student_side(inst, state.match_school, state.match_pos,
-                             mode, gs_counters)
+    state, gs_counters = _gs_school_arrays(inst) if _start is None else (_start, Counters())
+    return _run_student_side(inst, state.match_school, state.match_pos, gs_counters)
 
 
 def all_rotations(inst: Instance, side: str) -> list[Rotation]:
     """Every rotation of the given side exposed in any stable assignment,
     in one elimination order (the set does not depend on the order).
 
+    The legal set is the stable set of the legal subinstance, so the legal
+    walk down from the student-optimal stable assignment M0 eliminates a
+    chain of the subinstance's rotations, every stable one among them.  In
+    that lattice each student moves down one fixed sequence of schools, one
+    rotation per step, so a rotation has been eliminated at the
+    school-optimal stable assignment Mz exactly when any one of its
+    students, say the first, sits in Mz below the school the rotation moves
+    it from.  One forward pointer per student replays the chain, so the
+    filter is O(|E|).
+
     sigma maps the student-rotations one to one onto the school-rotations,
     and undoes each one, so the school side is the student side's chain
     mapped through sigma and read backwards, from the school-optimal end.
     """
     _check_side(side)
-    rotations = student_side_run(inst, mode=ENUMERATE).rotations
+    top, _ = _gs_student_arrays(inst)
+    at = top.match_pos[:]
+    bottom = _gs_school_arrays(inst)[0].match_pos
+    s_pref = inst._s_pref
+    stable = []
+    for rot in student_side_run(inst, _start=top)._rotations:
+        if at[rot[0][0]] < bottom[rot[0][0]]:
+            stable.append(rot)
+        for (a, _), (_, b_next) in zip(rot, rot[1:] + rot[:1]):
+            at[a] = s_pref[a].index(b_next, at[a] + 1)
+    rotations = _named_rotations(inst, STUDENTS, stable)
     if side == STUDENTS:
         return list(rotations)
     return [sigma(rho) for rho in reversed(rotations)]

@@ -124,11 +124,9 @@ def _gs_core(s_pref: list[list[int]], s_srank: list[list[int]],
             match_pos[loser] = len(s_pref[loser])
             stack.append(loser)
             # rank < old worst and flags[rank] is set, so this stops at >= rank
-            w -= 1
-            while not flags[w]:
-                w -= 1
-                cells += 1
-            worst[b] = w
+            w2 = flags.rfind(1, 0, w)
+            cells += w - 1 - w2
+            worst[b] = w2
             match_school[a] = b
             match_pos[a] = pos
             ptr[a] = pos + 1

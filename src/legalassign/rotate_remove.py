@@ -9,10 +9,11 @@ pointer per student, which each rotation of the chain moves down its list.
 
 The subinstance costs one deferred-acceptance run and two walks, both from
 the student-optimal stable assignment.  The downward walk deletes only
-illegal edges, which no stable assignment uses, so it eliminates the stable
-student-rotations on its way and passes the school-optimal stable
-assignment (Gusfield & Irving 1989, ch. 3) without a separate enumeration
-of the stable lattice.
+illegal edges, which no stable assignment uses, so it eliminates every
+stable student-rotation on its way down (Gusfield & Irving 1989, ch. 3)
+without a separate enumeration of the stable lattice.  It need not pass
+the school-optimal stable assignment: a legal rotation that no stable
+assignment exposes may come before a stable one.
 """
 from __future__ import annotations
 
@@ -22,8 +23,7 @@ from itertools import compress
 from typing import Iterable, Iterator
 
 from . import engine
-from .engine import (LEGAL, EngineRun, _named_rotations, school_side_run,
-                     student_side_run)
+from .engine import EngineRun, _named_rotations, school_side_run, student_side_run
 from .gs import Counters
 from .model import Assignment, Instance, SCHOOLS, STUDENTS, _check_side
 from .rotations import Rotation
@@ -42,8 +42,8 @@ def rotate_remove(inst: Instance, side: str = SCHOOLS) -> EngineRun:
     side=students the school-optimal one."""
     _check_side(side)
     if side == SCHOOLS:
-        return school_side_run(inst, mode=LEGAL)
-    return student_side_run(inst, mode=LEGAL)
+        return school_side_run(inst)
+    return student_side_run(inst)
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,11 @@ from itertools import accumulate, compress
 from operator import not_
 from typing import Iterator, Sequence
 
-from legalassign import (Assignment, ConsentSet, Counters, GSResult, Instance,
+from legalassign import (Assignment, ConsentSet, GSResult, Instance,
                          InvalidInstanceError, LatinSquare, OneToOneReduction,
                          ParseError, all_rotations, dominates, gs_student)
 from legalassign.eadam import _consent_flags
-from legalassign.engine import ENUMERATE, _gs_school_arrays, school_side_run, student_side_run
+from legalassign.engine import _gs_school_arrays, school_side_run, student_side_run
 from legalassign.gs import _as_assignment
 from legalassign.latin import _as_square
 from legalassign.model import SCHOOLS, STUDENTS, _check_side
@@ -434,18 +434,16 @@ class ReferenceReport:
     student_optimal: Assignment
     school_optimal: Assignment
     rotations: tuple[Rotation, ...]
-    counters: Counters
 
 
 def legal_subinstance_reference(inst: Instance) -> ReferenceReport:
-    """legal_subinstance from named edges: the walks' named rotations, one
-    (student, school) tuple per cell tested against a frozenset, and a
-    rebuild from per-student keep flags."""
+    """legal_subinstance from named edges: the walks' named rotations with
+    the stable lattice's between them, one (student, school) tuple per cell
+    tested against a frozenset, and a rebuild from per-student keep flags."""
     up = school_side_run(inst)
     down = student_side_run(inst)
-    mid = student_side_run(inst, mode=ENUMERATE)
     rotations = (tuple(sigma_inverse(tau) for tau in reversed(up.rotations))
-                 + mid.rotations + down.rotations)
+                 + tuple(all_rotations_naive(inst, STUDENTS)) + down.rotations)
 
     from_bottom = set(down.assignment.matched_pairs)
     for rho in rotations:
@@ -468,8 +466,7 @@ def legal_subinstance_reference(inst: Instance) -> ReferenceReport:
         illegal += compress(cells, map(not_, keep))
         s_keep.append(keep)
     return ReferenceReport(_restrict_by_students(inst, s_keep), legal, frozenset(illegal),
-                           up.assignment, down.assignment, rotations,
-                           up.counters + down.counters + mid.counters)
+                           up.assignment, down.assignment, rotations)
 
 
 def _restrict_by_students(inst: Instance, s_keep: list[bytes]) -> Instance:

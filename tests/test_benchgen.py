@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from legalassign import (ConsentSet, EqualityViolation, GenConfig,
+from legalassign import (ConsentSet, EqualityViolation, GenConfig, InvalidInstanceError,
                          MechanismTimeout, PlanCell, generate, gs_student,
                          run_bench, sample_consent, write_csv)
 from legalassign.benchgen import (CSV_COLUMNS, MECHANISMS, NYC, RNG_NAME,
@@ -149,3 +149,39 @@ def test_trio_disagreement_is_fatal_and_reproducible(tmp_path, monkeypatch):
     saved = os.listdir(tmp_path / bundles[0])
     assert any(name.endswith(".inst") for name in saved)
     assert any("consent" in name for name in saved)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n_students=0, n_schools=1), "need at least one agent on each side"),
+    (dict(n_students=1, n_schools=0), "need at least one agent on each side"),
+    (dict(n_students=1, n_schools=1, quota_model="zipf"), "unknown quota model: 'zipf'"),
+    (dict(n_students=1, n_schools=1, quota_lo=0), "quota bounds must be positive and ordered"),
+    (dict(n_students=1, n_schools=1, quota_lo=3, quota_hi=2),
+     "quota bounds must be positive and ordered"),
+    (dict(n_students=1, n_schools=1, list_length=0),
+     "list truncation must keep at least one school"),
+])
+def test_gen_config_refusals(kwargs, message):
+    with pytest.raises(InvalidInstanceError) as err:
+        GenConfig(**kwargs)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(mechanisms=("gs", "da", "ttc")), "unknown mechanisms: ['da', 'ttc']"),
+    (dict(mechanisms=()), "cell lists no mechanisms"),
+    (dict(consent_rates=(0.5, 1.5)), "consent rates must lie in [0, 1]"),
+    (dict(consent_rates=(-0.1,)), "consent rates must lie in [0, 1]"),
+    (dict(consent_rates=()), "cell lists no consent rates"),
+    (dict(repetitions=0), "repetitions must be at least 1"),
+])
+def test_plan_cell_refusals(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        PlanCell(GenConfig(3, 2), **kwargs)
+    assert str(err.value) == message
+
+
+def test_run_bench_refuses_an_empty_plan():
+    with pytest.raises(ValueError) as err:
+        run_bench([])
+    assert str(err.value) == "empty benchmark plan"

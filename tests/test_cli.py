@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -487,12 +488,33 @@ def test_a_utf8_byte_order_mark_is_dropped(tmp_path, capsys, argv, bom_file):
     assert run(capsys, *(a.format(marked) for a in argv)) == plain
 
 
-@pytest.mark.parametrize("argv", [
+CLAMPED = pytest.mark.parametrize("argv", [
     ("gen", "--students", "3", "--schools", "2", "--list-length", "5"),
     ("bench", "--students", "3", "--schools", "2", "--list-length", "5",
      "--mechanisms", "gs"),
 ], ids=["gen", "bench"])
+
+
+@CLAMPED
 def test_generator_warning_is_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0 and out
     assert err == "warning: list length 5 exceeds 2 schools; clamping\n"
+
+
+@CLAMPED
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_generator_warning_is_one_line_under_any_filter(capsys, argv, action):
+    # as with PYTHONWARNINGS=error or =ignore: no traceback, and no lost line
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        code, out, err = run(capsys, *argv)
+    assert code == 0 and out
+    assert err == "warning: list length 5 exceeds 2 schools; clamping\n"
+
+
+def test_bench_takes_a_positive_timeout(capsys):
+    code, out, err = run(capsys, "bench", "--students", "3", "--schools", "2",
+                         "--mechanisms", "gs", "--timeout", "30")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == ",".join(CSV_COLUMNS)

@@ -31,9 +31,8 @@ def test_student_side_stops_at_unique_stable(ex4):
     assert student_side_run(ex4).assignment == STABLE_EX4
 
 
-@pytest.mark.parametrize("walk", [
-    school_side_run, student_side_run, lambda inst: student_side_run(inst, mode="enumerate"),
-], ids=["schools", "students", "enumerate"])
+@pytest.mark.parametrize("walk", [school_side_run, student_side_run],
+                         ids=["schools", "students"])
 def test_assignment_is_named_on_first_read(ex3, walk):
     run = walk(ex3)
     assert "assignment" not in run.__dict__
@@ -68,8 +67,8 @@ def test_mode_validation(ex4, ex5):
         school_side_run(ex4, mode="consent")  # flags missing
     with pytest.raises(ValueError):
         school_side_run(ex4, consenting=[True] * 5)  # flags without the mode
-    with pytest.raises(ValueError):
-        student_side_run(ex4, mode="consent")
+    with pytest.raises(TypeError):
+        student_side_run(ex4, mode="consent")  # the student walk has no modes
     with pytest.raises(ValueError):
         school_side_run(ex5, mode="consent", consenting=[False])  # too few flags
     with pytest.raises(ValueError):
@@ -145,14 +144,13 @@ def test_scan_budget_random():
 
 def _walks(inst, consenting):
     """Every walk the solvers run: both legal walks (the student one from both
-    starts), the consent walk and the enumeration."""
+    starts) and the consent walk."""
     top = engine._gs_student_arrays(inst)[0]
     bottom = engine._gs_school_arrays(inst)[0]
     return [school_side_run(inst, _start=top.copy()),
             school_side_run(inst, mode="consent", consenting=consenting, _start=top.copy()),
             student_side_run(inst, _start=bottom.copy()),
-            student_side_run(inst, _start=top.copy()),
-            student_side_run(inst, mode="enumerate", _start=top.copy())]
+            student_side_run(inst, _start=top.copy())]
 
 
 def _trail(run):

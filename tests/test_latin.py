@@ -2,7 +2,8 @@ from itertools import permutations
 
 import pytest
 
-from legalassign import (Assignment, auxiliary_instance, enumerate_stable,
+from legalassign import (Assignment, InvalidInstanceError, auxiliary_instance,
+                         enumerate_stable,
                          fixture_path, format_latin, instance_from_latin, is_stable,
                          latin_check, legal_fixed_point, parse_latin, xor_latin)
 
@@ -106,3 +107,15 @@ def test_auxiliary_legal_set_mirrors_stable_set(ex9):
         assert m.school_of("a~") == "b~"
         core = Assignment({a: m.school_of(a) for a in ex9.students})
         assert core in originals
+
+
+@pytest.mark.parametrize("market, names, message", [
+    ("ex2", {}, "auxiliary construction needs a one-to-one instance"),
+    ("ex1", {}, "auxiliary construction needs complete lists"),
+    ("ex9", {"student": "a1"}, "auxiliary agent names collide with the instance"),
+    ("ex9", {"school": "b4"}, "auxiliary agent names collide with the instance"),
+])
+def test_auxiliary_refusals(request, market, names, message):
+    with pytest.raises(InvalidInstanceError) as err:
+        auxiliary_instance(request.getfixturevalue(market), **names)
+    assert str(err.value) == message

@@ -697,3 +697,24 @@ def test_only_the_model_builds_instance_tables(path):
     # the cross-rank layout stays behind model.py: other modules hand it rows
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert not [node.lineno for node in ast.walk(tree) if _builds_tables(node)]
+
+
+def test_reduction_refuses_a_seat_name_that_is_a_student():
+    inst = Instance(["b^1", "a"], ["b"], {"b": 1}, {"b^1": ["b"], "a": []}, {"b": ["b^1"]})
+    with pytest.raises(InvalidInstanceError) as err:
+        reduce_one_to_one(inst)
+    assert str(err.value) == "seat name 'b^1' collides with a student id"
+
+
+@pytest.mark.parametrize("method, x, y, message", [
+    ("student_rank", "9", "A", "unknown student '9'"),
+    ("student_rank", "1", "Z", "unknown school 'Z'"),
+    ("student_rank", "2", "C", "('2', 'C') is not an edge"),
+    ("school_rank", "Z", "1", "unknown school 'Z'"),
+    ("school_rank", "C", "9", "unknown student '9'"),
+    ("school_rank", "C", "2", "('2', 'C') is not an edge"),
+])
+def test_rank_refusals(ex1, method, x, y, message):
+    with pytest.raises(ValueError) as err:
+        getattr(ex1, method)(x, y)
+    assert str(err.value) == message

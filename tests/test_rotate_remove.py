@@ -10,12 +10,12 @@ from legalassign import (Assignment, Counters, Instance, dominates, enumerate_st
                          fixture_path, gs_student, is_stable, legal_fixed_point,
                          legal_subinstance, parse_instance, rotate_remove)
 from legalassign.benchgen import GenConfig, generate
-from legalassign.engine import (ENUMERATE, LEGAL, all_rotations, school_side_run,
-                                student_side_run)
-from legalassign.gs import _gs_school_arrays, _gs_student_arrays
+from legalassign.engine import all_rotations, school_side_run, student_side_run
+from legalassign.gs import _gs_student_arrays
 
 from _markets import random_market
-from _references import legal_subinstance_reference, stable_edges
+from _references import (eliminate, exposed_rotations, gs_school, legal_subinstance_reference,
+                         stable_edges)
 
 # the module, which the package's rotate_remove function shadows
 rotate_remove_module = importlib.import_module("legalassign.rotate_remove")
@@ -184,10 +184,13 @@ def test_legal_subinstance_runs_deferred_acceptance_once(ex5):
 
 
 def _assert_enumeration_ends_school_optimal(inst):
-    # all_rotations reads the stable lattice off this walk, down to its bottom
-    state, _ = _gs_student_arrays(inst)
-    student_side_run(inst, mode=ENUMERATE, _start=state)
-    assert state == _gs_school_arrays(inst)[0]
+    # all_rotations, in its order, is a walk of the stable lattice from the
+    # student-optimal stable assignment down to its bottom
+    m = gs_student(inst).assignment
+    for rho in all_rotations(inst, "students"):
+        assert rho in exposed_rotations(inst, m, "students")
+        m = eliminate(inst, m, rho)
+    assert m == gs_school(inst).assignment
 
 
 def test_enumeration_ends_school_optimal():
@@ -202,11 +205,12 @@ def test_enumeration_ends_school_optimal_on_larger_markets(seed):
         random_market(rng, max_students=40, max_schools=8, max_quota=4))
 
 
-def _assert_downward_walk_passes_the_stable_lattice(inst):
+def _assert_downward_walk_eliminates_every_stable_rotation(inst):
     # the downward walk starts at the student-optimal stable assignment: it
     # must still end at the school-optimal legal one, which rotate_remove
     # reaches from the school-optimal stable start, and eliminate every
-    # stable student-rotation on the way
+    # stable student-rotation on the way, though it need not pass the
+    # school-optimal stable assignment
     report = legal_subinstance(inst)
     assert report.school_optimal == rotate_remove(inst, "students").assignment
     assert set(all_rotations(inst, "students")) <= set(report.rotations)
@@ -214,14 +218,29 @@ def _assert_downward_walk_passes_the_stable_lattice(inst):
 
 def test_downward_walk_passes_the_stable_lattice():
     for seed in range(300):
-        _assert_downward_walk_passes_the_stable_lattice(random_market(random.Random(seed)))
+        _assert_downward_walk_eliminates_every_stable_rotation(
+            random_market(random.Random(seed)))
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_downward_walk_passes_the_stable_lattice_on_larger_markets(seed):
     rng = random.Random(seed)
-    _assert_downward_walk_passes_the_stable_lattice(
+    _assert_downward_walk_eliminates_every_stable_rotation(
         random_market(rng, max_students=40, max_schools=8, max_quota=4))
+
+
+def test_all_rotations_keeps_a_stable_rotation_behind_an_unstable_one():
+    # the chain from the student-optimal stable assignment eliminates an
+    # unstable rotation first: the assignment after it blocks, and the one
+    # stable rotation comes third, so no prefix of the chain is the stable set
+    inst = generate(GenConfig(200, 20, quota_model="nyc", list_length=5, seed=3))
+    chain = _down_chain(inst).rotations
+    assert len(chain) == 3
+    pairs = chain[0].pairs
+    first = dict(gs_student(inst).assignment.mapping)
+    first.update((a, b) for (a, _), (_, b) in zip(pairs, pairs[1:] + pairs[:1]))
+    assert not is_stable(inst, Assignment(first))
+    assert all_rotations(inst, "students") == [chain[2]]
 
 
 #: rotate_remove(inst, "students") on the market below: 20 of the 38 removed
@@ -240,19 +259,14 @@ def test_student_walk_settles_free_seat_sinks_in_order():
     assert run.removed_edges == tuple(tuple(e.split(":")) for e in NYC_30X5_REMOVED.split())
     assert run.counters == Counters(proposals=78, cells_scanned=78, edge_scans=59,
                                     rotations_eliminated=3, edges_removed=38, gs_runs=1)
-    # the enumeration retires the path at a free seat instead, removing nothing
-    run = student_side_run(inst, mode=ENUMERATE)
-    assert run._rotations == [[(18, 1), (8, 2)]]
-    assert run.counters == Counters(proposals=32, cells_scanned=34, edge_scans=38,
-                                    rotations_eliminated=1, edges_removed=0, gs_runs=1)
 
 
 def _patch_down_chain(monkeypatch, edit):
     """Make legal_subinstance's downward walk return edit(rotations)."""
     real = rotate_remove_module.student_side_run
 
-    def patched(inst, *, mode=LEGAL, _start=None):
-        run = real(inst, mode=mode, _start=_start)
+    def patched(inst, *, _start=None):
+        run = real(inst, _start=_start)
         return replace(run, _rotations=edit(run._rotations))
 
     monkeypatch.setattr(rotate_remove_module, "student_side_run", patched)
@@ -267,18 +281,17 @@ EX9 = parse_instance(fixture_path("ex9.inst").read_text())
 
 
 def test_legal_subinstance_leaves_the_enumeration_assignment_unnamed(ex9, monkeypatch):
-    # one student walk, in legal mode, gives the stable and the legal descent
+    # one student walk gives the stable and the legal descent
     runs = []
     real = rotate_remove_module.student_side_run
 
     def recording(inst, **kwargs):
-        runs.append((kwargs.get("mode", LEGAL), real(inst, **kwargs)))
-        return runs[-1][1]
+        runs.append(real(inst, **kwargs))
+        return runs[-1]
 
     monkeypatch.setattr(rotate_remove_module, "student_side_run", recording)
     report = legal_subinstance(ex9)
-    ((mode, down),) = runs
-    assert mode == LEGAL
+    (down,) = runs
     assert report.school_optimal == down.assignment
 
 

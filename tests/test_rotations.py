@@ -135,3 +135,10 @@ def test_rotation_laws_random(seed):
 def test_rotation_counts_match_across_sides(seed):
     inst = random_market(random.Random(seed))
     assert len(all_rotations(inst, "students")) == len(all_rotations(inst, "schools"))
+
+
+def test_sigma_refuses_a_school_rotation():
+    tau = Rotation("schools", (("b1", "a1"), ("b2", "a2")))
+    with pytest.raises(ValueError) as err:
+        sigma(tau)
+    assert str(err.value) == "sigma takes a student-rotation"
