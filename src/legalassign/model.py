@@ -43,9 +43,10 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
 
-#: An identifier is what the file format can write back: one token with no
-#: whitespace, no comment mark, no name separator and no quota brackets.
-_IDENTIFIER = re.compile(r"[^\s#:\[\]]+")
+#: An identifier is what the file format can write back: one non-empty token
+#: with none of these characters (whitespace, the comment mark, the name
+#: separator and the quota brackets).
+_NOT_IN_IDENTIFIER = re.compile(r"[\s#:\[\]]")
 
 
 def _resolve(owner: str, names: Sequence[str], index: Mapping[str, int],
@@ -102,8 +103,18 @@ def _cells(rows: list[list[int]], n_cells: int, dtype) -> tuple[np.ndarray, ...]
     return owner, listed, pos
 
 
-def _split(flat: list[int], rows: list[list[int]]) -> list[list[int]]:
-    """``flat`` cut into pieces as long as ``rows``."""
+def _split(flat: np.ndarray, rows: list[list[int]]) -> list[list[int]]:
+    """The values of ``flat`` as lists as long as ``rows``.
+
+    Rows of one length, as in complete and top-k lists, come out of one
+    ``tolist`` of ``flat`` reshaped, with no Python loop per row.  Other
+    rows are slices of ``flat.tolist()`` cut in a loop, which CPython runs
+    faster than ``map(slice, ...)``: that builds each slice through a type
+    call."""
+    n = len(rows)
+    if n and len(flat) == n * min(map(len, rows)):
+        return flat.reshape(n, len(flat) // n).tolist()
+    flat = flat.tolist()
     out, k = [], 0
     for row in rows:
         e = k + len(row)
@@ -137,7 +148,7 @@ def _sort_join(s_pref: list[list[int]], b_pref: list[list[int]],
     s_srank[s_perm] = b_pos[b_perm]
     b_rrank = np.empty(n_edges, dtype)
     b_rrank[b_perm] = s_pos[s_perm]
-    return _split(s_srank.tolist(), s_pref), _split(b_rrank.tolist(), b_pref)
+    return _split(s_srank, s_pref), _split(b_rrank, b_pref)
 
 
 class Instance:
@@ -206,11 +217,18 @@ class Instance:
         """Store the rosters and their indices, unchecked."""
         self._students = tuple(students)
         self._schools = tuple(schools)
-        self._s_index = {a: i for i, a in enumerate(self._students)}
-        self._b_index = {b: i for i, b in enumerate(self._schools)}
+        self._s_index = dict(zip(self._students, range(len(self._students))))
+        self._b_index = dict(zip(self._schools, range(len(self._schools))))
 
     def _check_rosters(self, quota: Mapping[str, int]) -> None:
-        """Check the stored rosters, then check and store the quotas."""
+        """Check the stored rosters, then check and store the quotas.
+
+        The order is: duplicates, overlap, identifiers, quotas.  The
+        identifiers are decided in one pass: one search for a forbidden
+        character over the joined rosters (the join raises TypeError on a
+        non-``str``), and dict lookups for the empty name and the roster
+        words.  Only on a fault does the loop over the identifiers run, to
+        name the first bad one in roster order."""
         s_index, b_index = self._s_index, self._b_index
         if len(s_index) != len(self._students):
             raise InvalidInstanceError("duplicate student identifier")
@@ -219,13 +237,20 @@ class Instance:
         overlap = s_index.keys() & b_index.keys()
         if overlap:
             raise InvalidInstanceError(f"identifier on both sides: {sorted(overlap)[0]!r}")
-        for kind, ids in (("student", self._students), ("school", self._schools)):
-            for x in ids:
-                if not isinstance(x, str) or not _IDENTIFIER.fullmatch(x) or x in SIDES:
-                    raise InvalidInstanceError(
-                        f"{kind} identifier {x!r} is not valid; identifiers are non-empty, "
-                        "contain no whitespace and none of '#:[]', and are not "
-                        f"{STUDENTS!r} or {SCHOOLS!r}")
+        try:
+            valid = (_NOT_IN_IDENTIFIER.search("".join(self._students + self._schools)) is None
+                     and not any(x in s_index or x in b_index for x in ("", *SIDES)))
+        except TypeError:  # a non-str identifier
+            valid = False
+        if not valid:
+            for kind, ids in (("student", self._students), ("school", self._schools)):
+                for x in ids:
+                    if (not isinstance(x, str) or not x or x in SIDES
+                            or _NOT_IN_IDENTIFIER.search(x)):
+                        raise InvalidInstanceError(
+                            f"{kind} identifier {x!r} is not valid; identifiers are non-empty, "
+                            "contain no whitespace and none of '#:[]', and are not "
+                            f"{STUDENTS!r} or {SCHOOLS!r}")
 
         quotas = []
         for b in self._schools:
@@ -484,6 +509,20 @@ def _school_worst(inst: Instance, match_school: list[int],
     return fill, worst
 
 
+def _schools_of(inst: Instance, m: Assignment) -> list[str | None]:
+    """Each student's school in m (None if unmatched), in roster order.  m
+    may leave out a student with no list; leaving out any other student
+    raises ValueError."""
+    out = []
+    for a, row in zip(inst._students, inst._s_pref):
+        try:
+            out.append(m.school_of(a) if row or a in m else None)
+        except KeyError:
+            raise ValueError(f"the assignment leaves out student {a!r}, "
+                             "whose list is not empty") from None
+    return out
+
+
 def blocking_pairs(inst: Instance, m: Assignment) -> Iterator[tuple[str, str]]:
     """All edges that block m, in instance edge order.
 
@@ -496,12 +535,7 @@ def blocking_pairs(inst: Instance, m: Assignment) -> Iterator[tuple[str, str]]:
     and leaving out any other student raises ValueError.
     """
     match_school, match_pos = [], []
-    for a, row in zip(inst._students, inst._s_pref):
-        try:
-            cur = m.school_of(a) if row or a in m else None
-        except KeyError:
-            raise ValueError(f"the assignment leaves out student {a!r}, "
-                             "whose list is not empty") from None
+    for a, row, cur in zip(inst._students, inst._s_pref, _schools_of(inst, m)):
         j = -1 if cur is None else inst._school_idx(cur)
         try:
             match_pos.append(len(row) if j < 0 else row.index(j))
@@ -521,9 +555,10 @@ def is_stable(inst: Instance, m: Assignment) -> bool:
 
 
 def dominates(inst: Instance, m1: Assignment, m2: Assignment) -> bool:
-    """True iff every student weakly prefers his m1 school to his m2 school."""
-    for a in inst.students:
-        b1, b2 = m1.school_of(a), m2.school_of(a)
+    """True iff every student weakly prefers its m1 school to its m2 school.
+    Either assignment may leave out a student with no list; leaving out any
+    other student raises ValueError."""
+    for a, b1, b2 in zip(inst.students, _schools_of(inst, m1), _schools_of(inst, m2)):
         if b1 == b2:
             continue
         if b1 is None:  # unmatched is worst, and b2 differs
@@ -543,68 +578,81 @@ def parse_instance(text: str) -> Instance:
     preference line per agent, most preferred first.  Agents without a line
     have an empty list.
 
-    Each preference line goes through the constructor's resolver as it is
-    split, and the rows go to the same checks and join as in `Instance`: a
-    line with an unknown name keeps its names, and on any fault the fault
-    finder resolves only those lines and raises the first fault.
+    A preference line pays per entry, not per line: once the rosters are
+    fixed, a line whose head before the first `:` names a known agent
+    (other than `students` or `schools`) has its comment cut, if it has
+    one, and its entries go straight to the constructor's resolver.  Every
+    other line (header, rosters, blank or comment-only lines, a head that
+    is unknown, reserved or has no colon) takes the generic dispatch, which
+    closes the rosters at the first preference line.  The rows go to the
+    same checks and join as in `Instance`: a line with an unknown name
+    keeps its names, and on any fault the fault finder resolves only those
+    lines and raises the first fault.
     """
     students: list[str] | None = None
     schools: list[str] | None = None
     quota: dict[str, int] = {}
     inst = Instance.__new__(Instance)
-    s_index: dict[str, int] | None = None  # set at the first preference line
+    s_index: dict[str, int] = {}  # both set at the first preference line
     b_index: dict[str, int] = {}
     # per agent: its index row, or its name row if it names an unknown
-    # agent (the owner is then in ``unresolved``), or None without a line
-    s_rows: list[list | None] = []
-    b_rows: list[list | None] = []
+    # agent (the owner is then in ``unresolved``), or None without a line;
+    # None until the first preference line
+    s_rows: list[list | None] | None = None
+    b_rows: list[list | None] | None = None
     unresolved: set[str] = set()
     header_seen = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not header_seen:
-            if line != "instance v1":
-                raise ParseError("expected header 'instance v1'", lineno)
-            header_seen = True
-            continue
-        if line.startswith("students:"):
-            if students is not None:
-                raise ParseError("duplicate students: line", lineno)
-            students = line[len("students:"):].split()
-            continue
-        if line.startswith("schools:"):
-            if schools is not None:
-                raise ParseError("duplicate schools: line", lineno)
-            schools = []
-            for tok in line[len("schools:"):].split():
-                if tok.endswith("]") and "[" in tok:
-                    name, _, qpart = tok.partition("[")
-                    qtext = qpart[:-1]
-                    try:
-                        q = int(qtext)
-                    except ValueError:
-                        raise ParseError(f"bad quota {qtext!r} for school {name!r}", lineno) from None
-                    if q < 1:
-                        raise ParseError(f"school {name!r} has quota {q}; must be >= 1", lineno)
-                    schools.append(name)
-                    quota[name] = q
-                else:
-                    schools.append(tok)
-            continue
-        if ":" not in line:
-            raise ParseError(f"cannot parse {line!r}", lineno)
-        name, _, rest = line.partition(":")
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        name, colon, rest = raw.partition(":")
         name = name.strip()
-        if s_index is None:
-            if students is None or schools is None:
-                raise ParseError("preference line before students:/schools: rosters", lineno)
-            inst._set_rosters(students, schools)
-            s_index, b_index = inst._s_index, inst._b_index
-            s_rows = [None] * len(students)
-            b_rows = [None] * len(schools)
+        if not colon or name in SIDES or (name not in s_index and name not in b_index):
+            line = raw.strip()
+            if not line:
+                continue
+            if not header_seen:
+                if line != "instance v1":
+                    raise ParseError("expected header 'instance v1'", lineno)
+                header_seen = True
+                continue
+            if line.startswith("students:"):
+                if students is not None:
+                    raise ParseError("duplicate students: line", lineno)
+                students = line[len("students:"):].split()
+                continue
+            if line.startswith("schools:"):
+                if schools is not None:
+                    raise ParseError("duplicate schools: line", lineno)
+                schools = []
+                for tok in line[len("schools:"):].split():
+                    if tok.endswith("]") and "[" in tok:
+                        name, _, qpart = tok.partition("[")
+                        qtext = qpart[:-1]
+                        try:
+                            q = int(qtext)
+                        except ValueError:
+                            raise ParseError(f"bad quota {qtext!r} for school {name!r}",
+                                             lineno) from None
+                        if q < 1:
+                            raise ParseError(f"school {name!r} has quota {q}; must be >= 1",
+                                             lineno)
+                        schools.append(name)
+                        quota[name] = q
+                    else:
+                        schools.append(tok)
+                continue
+            if not colon:
+                raise ParseError(f"cannot parse {line!r}", lineno)
+            if s_rows is None:
+                if students is None or schools is None:
+                    raise ParseError("preference line before students:/schools: rosters", lineno)
+                inst._set_rosters(students, schools)
+                s_index, b_index = inst._s_index, inst._b_index
+                s_rows = [None] * len(students)
+                b_rows = [None] * len(schools)
+        # the one branch for preference lines
         k = s_index.get(name)
         if k is not None:
             rows, index = s_rows, b_index
@@ -622,7 +670,7 @@ def parse_instance(text: str) -> Instance:
         raise ParseError("missing students: line")
     if schools is None:
         raise ParseError("missing schools: line")
-    if s_index is None:
+    if s_rows is None:
         inst._set_rosters(students, schools)
         s_rows, b_rows = [None] * len(students), [None] * len(schools)
     try:

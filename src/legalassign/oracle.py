@@ -27,7 +27,7 @@ from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .eadam import ConsentSet, _consent_flags
-from .model import Assignment, Instance
+from .model import Assignment, Instance, _schools_of
 
 DEFAULT_CAP = 10**6
 
@@ -275,11 +275,14 @@ def verify_legal_property(
     """Check internal and external stability of a candidate set directly.
 
     Internal: no member blocks a member.  External: every non-member is
-    blocked by some member.  Returns the first witness found on failure.
+    blocked by some member.  Returns the first witness found on failure.  A
+    candidate may leave out a student with no list; leaving out any other
+    student raises ValueError.
     """
     uni = _universe(inst, cap)
     member = [False] * len(uni.own)
     for m in candidate:
+        _schools_of(inst, m)  # raises if m leaves out a student with a list
         i = uni.assignments.find(m)
         if i is None:
             raise ValueError(f"candidate contains an assignment outside the universe: {m!r}")
@@ -313,10 +316,8 @@ def _dominating(inst: Instance, m: Assignment, cap: int) -> Iterator[tuple[int, 
     """The option indices of the assignments that dominate m: every student
     holds an option it weakly prefers to its option in m, and (preferences
     being strict) they differ from m.  ``cap`` bounds them and m together."""
-    students = inst.students
-    schools = list(map(m.school_of, students))
     here = tuple(len(row) if b is None else inst.student_rank(a, b)
-                 for a, row, b in zip(students, inst._s_pref, schools))
+                 for a, row, b in zip(inst.students, inst._s_pref, _schools_of(inst, m)))
     return (leaf for leaf in _walk(inst, [r + 1 for r in here], cap) if leaf != here)
 
 
@@ -327,14 +328,17 @@ def is_constrained_efficient(inst: Instance, consent: ConsentSet | None,
     core walks the assignments in which every student holds an option it
     weakly prefers to its option in m, so this is a test oracle for small
     instances only.  ``cap`` bounds the number of those assignments it
-    enumerates, not the size of the whole universe."""
+    enumerates, not the size of the whole universe.  m may leave out a
+    student with no list; leaving out any other student raises ValueError."""
     flags = _consent_flags(inst, consent)
-    refusing = [a for i, a in enumerate(inst.students) if not flags[i]]
+    dominating = _dominating(inst, m, cap)
+    # a student with no list has no priority to violate
+    refusing = [a for a, row, ok in zip(inst.students, inst._s_pref, flags) if row and not ok]
     if any(_violated_priority(inst, m, a) for a in refusing):
         return False
     students = inst.students
     options = _option_names(inst)
-    for leaf in _dominating(inst, m, cap):
+    for leaf in dominating:
         m2 = _name(students, options, leaf)
         if not any(_violated_priority(inst, m2, a) for a in refusing):
             return False

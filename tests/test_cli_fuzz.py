@@ -25,8 +25,13 @@ from legalassign.cli import main
 from _markets import random_market
 from _references import parse_instance_reference
 
-INSTANCE_MUTATIONS = ("drop_line", "dup_line", "drop_token", "dup_token",
-                      "stray", "bad_quota", "asymmetric", "swap")
+TOKEN_MUTATIONS = ("drop_line", "dup_line", "drop_token", "dup_token", "stray",
+                   "bad_quota", "asymmetric", "swap", "late_roster", "spaced_head",
+                   "no_colon")
+# these keep a text's meaning, so they restyle a text that a token-level
+# mutation has made invalid
+RESTYLES = ("comment_after", "comment_line", "blank_line", "colon_spacing")
+INSTANCE_MUTATIONS = TOKEN_MUTATIONS + RESTYLES
 BAD_QUOTAS = ("0", "-1", "", "x", "1.5", "0x2", "2]", "[2")
 MATRIX_MUTATIONS = ("empty", "drop_line", "dup_line", "drop_token", "dup_token",
                     "bad_token", "out_of_range", "repeat", "swap")
@@ -45,9 +50,14 @@ def _seeded_draws(rng: random.Random):
 def _mutated_instance(inst: Instance, kind: str, pick, between) -> str:
     """The instance text with one mutation of the given kind.
 
-    Line 0 is the header, lines 1 and 2 the rosters, and every later line
-    a non-empty preference list, as ``Instance.to_text`` writes them.
+    A token-level kind edits the lines as ``Instance.to_text`` writes them:
+    line 0 is the header, lines 1 and 2 the rosters, and every later line a
+    non-empty preference list.  A restyle applies to the text of a drawn
+    token-level kind.
     """
+    if kind in RESTYLES:
+        return _restyled(_mutated_instance(inst, pick(TOKEN_MUTATIONS), pick, between),
+                         kind, pick, between)
     lines = [line.split() for line in inst.to_text().splitlines()]
     prefs = range(3, len(lines))
     if kind == "drop_line":
@@ -82,6 +92,14 @@ def _mutated_instance(inst: Instance, kind: str, pick, between) -> str:
     elif kind == "bad_quota":
         t = pick(range(1, len(lines[2])))
         lines[2][t] = f"{lines[2][t].partition('[')[0]}[{pick(BAD_QUOTAS)}]"
+    elif kind == "late_roster":  # a roster line again, after a preference line
+        lines.insert(between(4, len(lines)), list(lines[pick((1, 2))]))
+    elif kind == "spaced_head":  # `students : ...`, anywhere after the header
+        k = pick((1, 2))
+        lines.insert(between(1, len(lines)), [lines[k][0][:-1], ":", *lines[k][1:]])
+    elif kind == "no_colon":  # the head without its colon, and any of its entries
+        k = pick(prefs)
+        lines[k] = [lines[k][0][:-1], *lines[k][1:between(1, len(lines[k]))]]
     else:  # a list names an agent that does not list its owner, appended
         k = pick(prefs)  # or (swap) in place of an entry, so that the edge
         owner, entries = lines[k][0][:-1], lines[k][1:]  # counts stay equal
@@ -94,6 +112,29 @@ def _mutated_instance(inst: Instance, kind: str, pick, between) -> str:
         else:
             lines[k].append(pick(absent))
     return "".join(" ".join(toks) + "\n" for toks in lines)
+
+
+def _restyled(text: str, kind: str, pick, between) -> str:
+    """``text`` with one change of style that keeps its meaning: a comment
+    after a line or on a line of its own, a blank or whitespace-only line,
+    or other spacing around the colon of a line whose head is not a roster
+    word."""
+    lines = text.splitlines()
+    if kind == "comment_after":
+        k = pick(range(len(lines)))
+        lines[k] += pick((" # a: b c", "#", "\t#students: x"))
+    elif kind == "comment_line":
+        lines.insert(between(0, len(lines)), pick(("# a: b c", "  #", "#instance v1")))
+    elif kind == "blank_line":
+        lines.insert(between(0, len(lines)), pick(("", " ", "\t \u2003")))
+    else:  # colon_spacing
+        heads = [k for k, line in enumerate(lines)
+                 if ":" in line and line.partition(":")[0].strip() not in model.SIDES]
+        if heads:
+            k = pick(heads)
+            head, _, rest = lines[k].partition(":")
+            lines[k] = head + pick((" : ", ":", " :\t")) + rest.lstrip()
+    return "".join(line + "\n" for line in lines)
 
 
 def _latin_rows(rng: random.Random, n: int) -> list[list[int]]:

@@ -64,6 +64,9 @@ def test_comments_and_blank_lines_ignored(ex1):
     ("instance v1\nstudents: a\nstudents: e\nschools: c\n", "line 3: duplicate students: line"),
     ("instance v1\nstudents: a\nschools: c\na: c\nc: a\nstudents: e\n",
      "line 6: duplicate students: line"),
+    # a roster word on a roster still heads a roster line, not a preference line
+    ("instance v1\nstudents: students a\nschools: c\na: c\nc: a\nstudents: e\n",
+     "line 6: duplicate students: line"),
     ("students: a\nschools: c\n", "line 1: expected header 'instance v1'"),
     ("", "line 1: missing header 'instance v1'"),
     ("# only a comment\n\n", "line 1: missing header 'instance v1'"),
@@ -99,6 +102,34 @@ def test_quota_rejects_bool():
 def test_rejects_identifiers_the_format_cannot_write(students, schools):
     with pytest.raises(InvalidInstanceError, match="is not valid"):
         Instance(students, schools, {}, {}, {})
+
+
+def test_names_the_first_bad_identifier_deep_in_a_large_market():
+    # student 140 of 150 and school 13 of 15 of a 900-edge market are bad;
+    # the student comes first in roster order
+    inst = generate(GenConfig(150, 15, quota_model="nyc", list_length=6, seed=12))
+    assert inst.n_edges >= model._SORT_JOIN_MIN_EDGES
+    rename = {inst.students[140]: "a]140", inst.schools[13]: "b]13"}
+
+    def name(x: str) -> str:
+        return rename.get(x, x)
+
+    args = ([*map(name, inst.students)], [*map(name, inst.schools)],
+            {name(b): q for b, q in inst.quota.items()},
+            {name(a): [*map(name, row)] for a, row in inst.student_prefs.items()},
+            {name(b): [*map(name, row)] for b, row in inst.school_prefs.items()})
+    message = ("student identifier 'a]140' is not valid; identifiers are non-empty, "
+               "contain no whitespace and none of '#:[]', and are not 'students' or "
+               "'schools'")
+    with pytest.raises(InvalidInstanceError) as err:
+        Instance(*args)
+    assert str(err.value) == message
+    text = _text("students: " + " ".join(args[0]) + "\nschools: " + " ".join(args[1]),
+                 args[3], args[4])
+    for parse in (parse_instance, parse_instance_reference):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
 
 
 # Students a, e and schools c, d; each case has exactly one fault, except
@@ -429,6 +460,20 @@ def test_blocking_pairs_reject_an_assignment_that_leaves_out_a_student():
     with pytest.raises(ValueError) as err:
         list(blocking_pairs(inst, Assignment({})))
     assert str(err.value) == message
+
+
+def test_dominates_rejects_an_assignment_that_leaves_out_a_student(ex1):
+    without_3 = Assignment({"1": "A", "2": "B"})
+    for m1, m2 in ((M2, without_3), (without_3, M2)):
+        with pytest.raises(ValueError) as err:
+            dominates(ex1, m1, m2)
+        assert str(err.value) == "the assignment leaves out student '3', whose list is not empty"
+
+
+def test_dominates_may_leave_out_a_student_with_no_list():
+    inst = Instance(["a1", "a2"], ["b1"], {}, {"a1": ["b1"]}, {"b1": ["a1"]})
+    matched, unmatched = Assignment({"a1": "b1"}), Assignment({"a1": None, "a2": None})
+    assert dominates(inst, matched, unmatched) and not dominates(inst, unmatched, matched)
 
 
 # -- the two cross-rank joins -------------------------------------------------

@@ -418,8 +418,9 @@ def _reordered(m: Assignment) -> Assignment:
     return Assignment(dict(reversed(m.mapping.items())))
 
 
-def _matched_only(m: Assignment) -> Assignment:
-    return Assignment({a: b for a, b in m.mapping.items() if b is not None})
+def _listless_left_out(inst, m: Assignment) -> Assignment:
+    """m without the students that have no list, which it may leave out."""
+    return Assignment({a: b for a, b in m.mapping.items() if inst.student_prefs[a]})
 
 
 @given(st.integers(0, 10 ** 6))
@@ -432,8 +433,9 @@ def test_verify_reads_candidates_by_their_schools_not_their_order(seed):
     outsiders = [m for m in enumerate_assignments(inst) if m not in legal_set]
     for candidate in (legal, legal[1:], legal + rng.sample(outsiders, min(1, len(outsiders)))):
         expected = verify_legal_property(inst, candidate)
-        for rebuild in (_reordered, _matched_only):
-            assert verify_legal_property(inst, [rebuild(m) for m in candidate]) == expected
+        for rebuilt in ([_reordered(m) for m in candidate],
+                        [_listless_left_out(inst, m) for m in candidate]):
+            assert verify_legal_property(inst, rebuilt) == expected
 
 
 @pytest.mark.parametrize("outsider", [
@@ -447,6 +449,28 @@ def test_verify_rejects_a_candidate_outside_the_universe(ex1, outsider):
         verify_legal_property(ex1, [M_STABLE, outsider])
     assert str(exc.value) == ("candidate contains an assignment outside the universe: "
                               f"{outsider!r}")
+
+
+def test_oracle_rejects_an_assignment_that_leaves_out_a_student(ex1, ex5):
+    message = "the assignment leaves out student {!r}, whose list is not empty"
+    with pytest.raises(ValueError) as err:
+        verify_legal_property(ex1, [M_STABLE, Assignment({"1": "A", "2": "B"})])
+    assert str(err.value) == message.format("3")
+    m = rotate_remove_consent(ex5, None).assignment
+    without_a4 = Assignment({a: b for a, b in m.mapping.items() if a != "a4"})
+    for consent in (None, ConsentSet.of([])):
+        with pytest.raises(ValueError) as err:
+            is_constrained_efficient(ex5, consent, without_a4)
+        assert str(err.value) == message.format("a4")
+
+
+def test_oracle_may_leave_out_a_student_with_no_list():
+    inst = parse_instance("instance v1\nstudents: a1 a2\nschools: b1\na1: b1\nb1: a1\n")
+    m = Assignment({"a1": "b1"})
+    assert verify_legal_property(inst, [m]).ok
+    assert not verify_legal_property(inst, [Assignment({"a1": None})]).ok
+    for consent in (None, ConsentSet.of([])):
+        assert is_constrained_efficient(inst, consent, m)
 
 
 def _package_imports(tree: ast.AST) -> list[tuple[str, str]]:
