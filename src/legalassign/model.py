@@ -7,8 +7,10 @@ ranks a subset of the other side (strict order, most preferred first), school
 is always an agent's least preferred outcome.
 
 Each job is done in one place: `_resolve` turns a row of names into agent
-indices for the constructor and the parser alike, and `_school_worst`
-gives each school's fill and worst member to `blocking_pairs` and the walks.
+indices for the constructor and the parser alike, `_school_worst`
+gives each school's fill and worst member to `blocking_pairs` and the walks,
+and `_positions` reads an assignment into list positions for
+`blocking_pairs`, `dominates` and the oracle.
 """
 from __future__ import annotations
 
@@ -45,8 +47,10 @@ def _check_side(side: str) -> None:
 
 #: An identifier is what the file format can write back: one non-empty token
 #: with none of these characters (whitespace, the comment mark, the name
-#: separator and the quota brackets).
+#: separator and the quota brackets), and none of these words (the roster
+#: heads, and the mark `Assignment.format` writes for an unmatched student).
 _NOT_IN_IDENTIFIER = re.compile(r"[\s#:\[\]]")
+_RESERVED = (*SIDES, "-")
 
 
 def _resolve(owner: str, names: Sequence[str], index: Mapping[str, int],
@@ -226,7 +230,7 @@ class Instance:
         The order is: duplicates, overlap, identifiers, quotas.  The
         identifiers are decided in one pass: one search for a forbidden
         character over the joined rosters (the join raises TypeError on a
-        non-``str``), and dict lookups for the empty name and the roster
+        non-``str``), and dict lookups for the empty name and the reserved
         words.  Only on a fault does the loop over the identifiers run, to
         name the first bad one in roster order."""
         s_index, b_index = self._s_index, self._b_index
@@ -239,18 +243,18 @@ class Instance:
             raise InvalidInstanceError(f"identifier on both sides: {sorted(overlap)[0]!r}")
         try:
             valid = (_NOT_IN_IDENTIFIER.search("".join(self._students + self._schools)) is None
-                     and not any(x in s_index or x in b_index for x in ("", *SIDES)))
+                     and not any(x in s_index or x in b_index for x in ("", *_RESERVED)))
         except TypeError:  # a non-str identifier
             valid = False
         if not valid:
             for kind, ids in (("student", self._students), ("school", self._schools)):
                 for x in ids:
-                    if (not isinstance(x, str) or not x or x in SIDES
+                    if (not isinstance(x, str) or not x or x in _RESERVED
                             or _NOT_IN_IDENTIFIER.search(x)):
                         raise InvalidInstanceError(
                             f"{kind} identifier {x!r} is not valid; identifiers are non-empty, "
                             "contain no whitespace and none of '#:[]', and are not "
-                            f"{STUDENTS!r} or {SCHOOLS!r}")
+                            f"{STUDENTS!r}, {SCHOOLS!r} or '-'")
 
         quotas = []
         for b in self._schools:
@@ -509,42 +513,57 @@ def _school_worst(inst: Instance, match_school: list[int],
     return fill, worst
 
 
-def _schools_of(inst: Instance, m: Assignment) -> list[str | None]:
-    """Each student's school in m (None if unmatched), in roster order.  m
-    may leave out a student with no list; leaving out any other student
-    raises ValueError."""
+def _positions(inst: Instance, m: Assignment) -> list[int]:
+    """Each student's position on its own list in m, in roster order, or
+    the list's length when it is unmatched: the one reader of an
+    assignment into indices, for `blocking_pairs`, `dominates` and the
+    oracle.  It reads only the student lists and the roster indices.
+
+    m may leave out a student with no list, and may map a student the
+    market does not have to None.  Any other fault raises ValueError, the
+    first in roster order: a left-out student with a list, an unknown
+    school, a school off the student's list; then a student the market
+    does not have, matched to a school."""
+    match, b_index = m._match, inst._b_index
     out = []
     for a, row in zip(inst._students, inst._s_pref):
+        b = match.get(a)
+        if b is None:
+            if row and a not in match:
+                raise ValueError(f"the assignment leaves out student {a!r}, "
+                                 "whose list is not empty")
+            out.append(len(row))
+            continue
+        j = b_index.get(b)
+        if j is None:
+            raise ValueError(f"unknown school {b!r}")
         try:
-            out.append(m.school_of(a) if row or a in m else None)
-        except KeyError:
-            raise ValueError(f"the assignment leaves out student {a!r}, "
-                             "whose list is not empty") from None
+            out.append(row.index(j))
+        except ValueError:
+            raise ValueError(f"({a!r}, {b!r}) is not an edge") from None
+    s_index = inst._s_index
+    if not match.keys() <= s_index.keys():
+        for a, b in match.items():
+            if b is not None and a not in s_index:
+                raise ValueError(f"the assignment matches student {a!r}, "
+                                 "who is not in the market")
     return out
 
 
 def blocking_pairs(inst: Instance, m: Assignment) -> Iterator[tuple[str, str]]:
     """All edges that block m, in instance edge order.
 
-    Index-level, in O(|E|) whatever the quotas: one pass finds each
-    student's school on its own list, and `_school_worst`, the walks' pass,
-    gives each school's fill and worst member.  An edge above a student's
-    school blocks when the school has a free seat or ranks the student
-    above its worst member.  A school off the student's list, even an
-    empty one, raises ValueError; m may leave out a student with no list,
-    and leaving out any other student raises ValueError.
+    Index-level, in O(|E|) whatever the quotas: `_positions` finds each
+    student's position on its own list, and `_school_worst`, the walks'
+    pass, gives each school's fill and worst member.  An edge above a
+    student's position blocks when the school has a free seat or ranks the
+    student above its worst member.  m is read by `_positions`' rules.
     """
-    match_school, match_pos = [], []
-    for a, row, cur in zip(inst._students, inst._s_pref, _schools_of(inst, m)):
-        j = -1 if cur is None else inst._school_idx(cur)
-        try:
-            match_pos.append(len(row) if j < 0 else row.index(j))
-        except ValueError:
-            raise ValueError(f"({a!r}, {cur!r}) is not an edge") from None
-        match_school.append(j)
-    fill, worst = _school_worst(inst, match_school, match_pos)
+    pos = _positions(inst, m)
+    match_school = [row[p] if p < len(row) else -1 for row, p in zip(inst._s_pref, pos)]
+    fill, worst = _school_worst(inst, match_school, pos)
     quota, schools = inst._quota, inst._schools
-    for a, row, cranks, cut in zip(inst._students, inst._s_pref, inst._s_srank, match_pos):
+    for a, row, cranks, cut in zip(inst._students, inst._s_pref, inst._s_srank, pos):
         for j, c in zip(row[:cut], cranks[:cut]):
             if fill[j] < quota[j] or c < worst[j]:
                 yield (a, schools[j])
@@ -556,16 +575,8 @@ def is_stable(inst: Instance, m: Assignment) -> bool:
 
 def dominates(inst: Instance, m1: Assignment, m2: Assignment) -> bool:
     """True iff every student weakly prefers its m1 school to its m2 school.
-    Either assignment may leave out a student with no list; leaving out any
-    other student raises ValueError."""
-    for a, b1, b2 in zip(inst.students, _schools_of(inst, m1), _schools_of(inst, m2)):
-        if b1 == b2:
-            continue
-        if b1 is None:  # unmatched is worst, and b2 differs
-            return False
-        if b2 is not None and inst.student_rank(a, b1) > inst.student_rank(a, b2):
-            return False
-    return True
+    Both are read by `_positions`' rules, m1 first."""
+    return all(map(int.__le__, _positions(inst, m1), _positions(inst, m2)))
 
 
 # -- instance file format ----------------------------------------------------

@@ -14,7 +14,9 @@ market: ``legal_fixed_point``, ``verify_legal_property`` and
 ``enumerate_stable`` share a one-slot memo of it, keyed by the instance
 (compared by its tables) and the cap.  ``is_constrained_efficient`` walks
 only the assignments in which every student holds an option it weakly
-prefers to its option in m.
+prefers to its option in m, and checks their priorities on option indices,
+with each school's ranks taken from its preference list.  An assignment
+given to the oracle is read into option indices by ``model._positions``.
 """
 from __future__ import annotations
 
@@ -22,12 +24,12 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .eadam import ConsentSet, _consent_flags
-from .model import Assignment, Instance, _schools_of
+from .model import Assignment, Instance, _positions
 
 DEFAULT_CAP = 10**6
 
@@ -86,16 +88,6 @@ def _walk(inst: Instance, limits: Sequence[int], cap: int) -> Iterator[tuple[int
             d -= 1
 
 
-def _option_names(inst: Instance) -> list[tuple[str | None, ...]]:
-    """Per student, its options by index: its schools, then None."""
-    return [inst.student_prefs[a] + (None,) for a in inst.students]
-
-
-def _name(students: Sequence[str], options: Sequence[tuple[str | None, ...]],
-          leaf: tuple[int, ...]) -> Assignment:
-    return Assignment(dict(zip(students, map(tuple.__getitem__, options, leaf))))
-
-
 class _Assignments(Sequence[Assignment]):
     """A read-only sequence of assignments kept as option indices
     (``leaves``); each assignment is named on its first read and cached."""
@@ -103,7 +95,8 @@ class _Assignments(Sequence[Assignment]):
     def __init__(self, inst: Instance, leaves: list[tuple[int, ...]]):
         self.leaves = leaves
         self._students = inst.students
-        self._options = _option_names(inst)
+        # per student, its options by index: its schools, then None
+        self._options = [inst.student_prefs[a] + (None,) for a in inst.students]
         self._named: list[Assignment | None] = [None] * len(leaves)
 
     def __len__(self) -> int:
@@ -114,20 +107,13 @@ class _Assignments(Sequence[Assignment]):
             return [self[k] for k in range(*i.indices(len(self)))]
         m = self._named[i]
         if m is None:
-            m = self._named[i] = _name(self._students, self._options, self.leaves[i])
+            m = self._named[i] = Assignment(dict(zip(
+                self._students, map(tuple.__getitem__, self._options, self.leaves[i]))))
         return m
 
-    def find(self, m: Assignment) -> int | None:
-        """The index of m by its per-student schools, by binary search over
-        the sorted leaves; None if m is not among the assignments."""
-        match = m.mapping
-        try:
-            leaf = tuple(map(tuple.index, self._options,
-                             map(match.pop, self._students, repeat(None))))
-        except ValueError:
-            return None
-        if any(b is not None for b in match.values()):
-            return None
+    def find(self, leaf: tuple[int, ...]) -> int | None:
+        """The index of the assignment with these option indices, by binary
+        search over the sorted leaves; None if it is not among them."""
         i = bisect_left(self.leaves, leaf)
         return i if i < len(self.leaves) and self.leaves[i] == leaf else None
 
@@ -275,15 +261,14 @@ def verify_legal_property(
     """Check internal and external stability of a candidate set directly.
 
     Internal: no member blocks a member.  External: every non-member is
-    blocked by some member.  Returns the first witness found on failure.  A
-    candidate may leave out a student with no list; leaving out any other
-    student raises ValueError.
+    blocked by some member.  Returns the first witness found on failure.
+    Each member is read by `model._positions`' rules; a member that breaks
+    a quota is outside the universe and raises ValueError.
     """
     uni = _universe(inst, cap)
     member = [False] * len(uni.own)
     for m in candidate:
-        _schools_of(inst, m)  # raises if m leaves out a student with a list
-        i = uni.assignments.find(m)
+        i = uni.assignments.find(tuple(_positions(inst, m)))
         if i is None:
             raise ValueError(f"candidate contains an assignment outside the universe: {m!r}")
         member[i] = True
@@ -299,25 +284,11 @@ def verify_legal_property(
     return LegalityCheck(True)
 
 
-def _violated_priority(inst: Instance, m: Assignment, a: str) -> bool:
-    """a strictly prefers some school that admitted a student below him."""
-    mb = m.school_of(a)
-    top = inst.student_rank(a, mb) if mb is not None else len(inst._s_pref[inst._s_index[a]])
-    row = inst._s_pref[inst._s_index[a]]
-    for pos in range(top):
-        b = inst.schools[row[pos]]
-        r = inst.school_rank(b, a)
-        if any(inst.school_rank(b, a2) > r for a2 in m.students_of(b)):
-            return True
-    return False
-
-
-def _dominating(inst: Instance, m: Assignment, cap: int) -> Iterator[tuple[int, ...]]:
-    """The option indices of the assignments that dominate m: every student
-    holds an option it weakly prefers to its option in m, and (preferences
-    being strict) they differ from m.  ``cap`` bounds them and m together."""
-    here = tuple(len(row) if b is None else inst.student_rank(a, b)
-                 for a, row, b in zip(inst.students, inst._s_pref, _schools_of(inst, m)))
+def _dominating(inst: Instance, here: tuple[int, ...], cap: int) -> Iterator[tuple[int, ...]]:
+    """The option indices of the assignments that dominate the one with
+    option indices ``here``: every student holds an option it weakly
+    prefers to its option there, and (preferences being strict) they
+    differ from it.  ``cap`` bounds them and ``here`` together."""
     return (leaf for leaf in _walk(inst, [r + 1 for r in here], cap) if leaf != here)
 
 
@@ -328,18 +299,26 @@ def is_constrained_efficient(inst: Instance, consent: ConsentSet | None,
     core walks the assignments in which every student holds an option it
     weakly prefers to its option in m, so this is a test oracle for small
     instances only.  ``cap`` bounds the number of those assignments it
-    enumerates, not the size of the whole universe.  m may leave out a
-    student with no list; leaving out any other student raises ValueError."""
-    flags = _consent_flags(inst, consent)
-    dominating = _dominating(inst, m, cap)
-    # a student with no list has no priority to violate
-    refusing = [a for a, row, ok in zip(inst.students, inst._s_pref, flags) if row and not ok]
-    if any(_violated_priority(inst, m, a) for a in refusing):
-        return False
-    students = inst.students
-    options = _option_names(inst)
-    for leaf in dominating:
-        m2 = _name(students, options, leaf)
-        if not any(_violated_priority(inst, m2, a) for a in refusing):
-            return False
-    return True
+    enumerates, not the size of the whole universe.  m is read by
+    `model._positions`' rules.
+
+    Each assignment is checked on its option indices in one pass: a
+    refusing student's priority is violated when a school above its option
+    holds a student that the school ranks below it."""
+    refusing = [i for i, ok in enumerate(_consent_flags(inst, consent)) if not ok]
+    here = tuple(_positions(inst, m))
+    b_rank = [{i: c for c, i in enumerate(row)} for row in inst._b_pref]
+    # per student, per option: the school and the student's rank there
+    seats = [[(j, b_rank[j][i]) for j in row] for i, row in enumerate(inst._s_pref)]
+    n_schools = inst.n_schools
+
+    def violated(leaf: tuple[int, ...]) -> bool:
+        worst = [-1] * n_schools  # each school's worst member's rank
+        for options, r in zip(seats, leaf):
+            if r < len(options):
+                j, c = options[r]
+                if c > worst[j]:
+                    worst[j] = c
+        return any(worst[j] > c for i in refusing for j, c in seats[i][:leaf[i]])
+
+    return not violated(here) and all(map(violated, _dominating(inst, here, cap)))

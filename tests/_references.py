@@ -36,8 +36,7 @@ from legalassign.engine import _gs_school_arrays, school_side_run, student_side_
 from legalassign.gs import _as_assignment
 from legalassign.latin import _as_square
 from legalassign.model import SCHOOLS, STUDENTS, _check_side
-from legalassign.oracle import (DEFAULT_CAP, OracleCapError, _violated_priority,
-                               enumerate_assignments)
+from legalassign.oracle import DEFAULT_CAP, OracleCapError, enumerate_assignments
 from legalassign.rotations import Rotation
 
 
@@ -594,6 +593,19 @@ def universe_masks_reference(inst: Instance,
                    if is_blocking_pair(inst, m, a, b))
                for m in assignments]
     return own, blocked
+
+
+def _violated_priority(inst: Instance, m: Assignment, a: str) -> bool:
+    """a strictly prefers some school that admitted a student below him."""
+    mb = m.school_of(a)
+    top = inst.student_rank(a, mb) if mb is not None else len(inst._s_pref[inst._s_index[a]])
+    row = inst._s_pref[inst._s_index[a]]
+    for pos in range(top):
+        b = inst.schools[row[pos]]
+        r = inst.school_rank(b, a)
+        if any(inst.school_rank(b, a2) > r for a2 in m.students_of(b)):
+            return True
+    return False
 
 
 def is_constrained_efficient_reference(inst: Instance, consent: ConsentSet | None,

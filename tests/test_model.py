@@ -98,10 +98,24 @@ def test_quota_rejects_bool():
     (["a"], ["schools"]),
     (["a"], ["students"]),
     ([1], ["c"]),
+    (["-"], ["c"]),
+    (["a"], ["-"]),
 ])
 def test_rejects_identifiers_the_format_cannot_write(students, schools):
     with pytest.raises(InvalidInstanceError, match="is not valid"):
         Instance(students, schools, {}, {}, {})
+
+
+def test_a_school_named_dash_is_refused():
+    # `Assignment.format` writes '-' for an unmatched student, so a school
+    # named '-' would make a matched student read as unmatched
+    text = "instance v1\nstudents: a1 a2\nschools: -\na1: -\n-: a1\n"
+    for parse in (parse_instance, parse_instance_reference):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == (
+            "school identifier '-' is not valid; identifiers are non-empty, contain no "
+            "whitespace and none of '#:[]', and are not 'students', 'schools' or '-'")
 
 
 def test_names_the_first_bad_identifier_deep_in_a_large_market():
@@ -119,8 +133,8 @@ def test_names_the_first_bad_identifier_deep_in_a_large_market():
             {name(a): [*map(name, row)] for a, row in inst.student_prefs.items()},
             {name(b): [*map(name, row)] for b, row in inst.school_prefs.items()})
     message = ("student identifier 'a]140' is not valid; identifiers are non-empty, "
-               "contain no whitespace and none of '#:[]', and are not 'students' or "
-               "'schools'")
+               "contain no whitespace and none of '#:[]', and are not 'students', "
+               "'schools' or '-'")
     with pytest.raises(InvalidInstanceError) as err:
         Instance(*args)
     assert str(err.value) == message
@@ -191,7 +205,7 @@ def _text(rosters: str, s_prefs, b_prefs) -> str:
      "identifier on both sides: 'c'"),
     ("students: a e]\nschools: c d[2]", {"a": ["c", "x"]}, {"c": ["a", "a"]},
      "student identifier 'e]' is not valid; identifiers are non-empty, contain no "
-     "whitespace and none of '#:[]', and are not 'students' or 'schools'"),
+     "whitespace and none of '#:[]', and are not 'students', 'schools' or '-'"),
     ("students: a a\nschools: c d", {"a": ["c"]}, {"z": ["a"]},
      "line 4: unknown identifier 'z'"),
 ], ids=["duplicate-student", "duplicate-school", "overlap", "invalid", "unknown-owner"])
@@ -309,7 +323,7 @@ def test_round_trip_random(seed):
 
 
 def _writable(x: str) -> bool:
-    return (x != "" and x not in ("students", "schools")
+    return (x != "" and x not in ("students", "schools", "-")
             and not any(c.isspace() or c in "#:[]" for c in x))
 
 

@@ -3,8 +3,11 @@ import contextlib
 import io
 import random
 import tracemalloc
-from itertools import product
+from functools import reduce
+from itertools import compress, product
+from operator import or_
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from legalassign import (Assignment, ConsentSet, GenConfig, OracleCapError,
                          legal_fixed_point, legal_subinstance, parse_instance,
                          parse_latin, rotate_remove_consent, verify_legal_property,
                          xor_latin)
+from legalassign.model import _positions
 from legalassign.oracle import _Assignments, _dominating, _universe, _Universe
 
 from _markets import random_consent, random_market
@@ -231,10 +235,11 @@ def _assert_enumeration_matches_reference(inst):
 
 def _assert_dominating_matches_reference(inst, m):
     expected = list(dominating_reference(inst, m))
-    got = _Assignments(inst, list(_dominating(inst, m, len(expected) + 1)))
+    here = tuple(_positions(inst, m))
+    got = _Assignments(inst, list(_dominating(inst, here, len(expected) + 1)))
     assert _items(got) == _items(expected)
     cap = len(expected)  # m itself counts against the cap
-    assert (_cap_message(lambda: list(_dominating(inst, m, cap)))
+    assert (_cap_message(lambda: list(_dominating(inst, here, cap)))
             == _cap_message(lambda: list(dominating_reference(inst, m, cap))))
 
 
@@ -313,7 +318,25 @@ def test_universe_masks_ignore_the_cross_rank_tables(seed):
         inst.students, inst.schools, inst._quota, inst._s_pref, inst._b_pref,
         [[0] * len(row) for row in inst._s_pref], [[0] * len(row) for row in inst._b_pref])
     uni = _Universe.build(scrambled)
-    assert (uni.own, uni.blocked_by) == universe_masks_reference(inst, uni.assignments)
+    own, blocked = universe_masks_reference(inst, uni.assignments)
+    assert (uni.own, uni.blocked_by) == (own, blocked)
+    # the checks built on the universe: a set is legal iff exactly its
+    # members are unblocked by it
+    rng = random.Random(seed)
+    universe = list(uni.assignments)
+    _universe.cache_clear()  # the scrambled instance is equal to the original
+    for member in ([b == 0 for b in blocked], [rng.random() < 0.1 for _ in universe],
+                   [bool(mask) for mask in own]):
+        union = reduce(or_, compress(own, member), 0)
+        legal = all((b & union == 0) == is_m for b, is_m in zip(blocked, member))
+        assert verify_legal_property(scrambled, list(compress(universe, member))).ok == legal
+    _universe.cache_clear()
+    # constrained efficiency, with the reference reading the universe once
+    with mock.patch.object(_references, "enumerate_assignments", lambda _: universe):
+        for consent in (None, random_consent(rng, inst)):
+            for m in rng.sample(universe, min(4, len(universe))):
+                assert (is_constrained_efficient(scrambled, consent, m)
+                        == is_constrained_efficient_reference(inst, consent, m))
 
 
 @given(st.integers(0, 10 ** 6))
@@ -440,15 +463,56 @@ def test_verify_reads_candidates_by_their_schools_not_their_order(seed):
 
 @pytest.mark.parametrize("outsider", [
     Assignment({"1": "A", "2": "A", "3": None}),         # over quota
-    Assignment({"1": "C", "2": "C", "3": None}),         # not an edge of 2
-    Assignment({"1": "A", "2": "B", "3": "C", "4": "A"}),  # unknown student
-    Assignment({"1": "Z", "2": None, "3": None}),        # unknown school
 ])
 def test_verify_rejects_a_candidate_outside_the_universe(ex1, outsider):
     with pytest.raises(ValueError) as exc:
         verify_legal_property(ex1, [M_STABLE, outsider])
     assert str(exc.value) == ("candidate contains an assignment outside the universe: "
                               f"{outsider!r}")
+
+
+# Every function that takes an assignment reads it by one set of rules;
+# ``base`` is a second assignment of the same market.
+READERS = {
+    "is_stable": lambda inst, m, base: is_stable(inst, m),
+    "dominates-first": lambda inst, m, base: dominates(inst, m, base),
+    "dominates-second": lambda inst, m, base: dominates(inst, base, m),
+    "verify_legal_property": lambda inst, m, base: verify_legal_property(inst, [base, m]),
+    "is_constrained_efficient": lambda inst, m, base: is_constrained_efficient(inst, None, m),
+}
+
+
+# per fault: an assignment of ex1 with it, and the one message for it
+READER_FAULTS = {
+    "left-out": ({"1": "A", "2": "B"},
+                 "the assignment leaves out student '3', whose list is not empty"),
+    "stray": ({"1": "A", "2": "B", "3": "C", "4": "A"},
+              "the assignment matches student '4', who is not in the market"),
+    "unknown-school": ({"1": "Z", "2": None, "3": None}, "unknown school 'Z'"),
+    "non-edge": ({"1": "C", "2": "C", "3": None}, "('2', 'C') is not an edge"),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("fault", READER_FAULTS)
+def test_every_reader_refuses_a_fault_with_one_message(ex1, fault, reader):
+    match, message = READER_FAULTS[fault]
+    with pytest.raises(ValueError) as err:
+        READERS[reader](ex1, Assignment(match), M_STABLE)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_every_reader_accepts_what_equality_ignores(ex1, reader):
+    # a student with no list may be left out, and a stray student mapped to
+    # None is ignored, as `Assignment` equality ignores it
+    listless = parse_instance("instance v1\nstudents: a1 a2\nschools: b1\na1: b1\nb1: a1\n")
+    unmatched = Assignment({"a1": None, "a2": None})
+    for inst, m, full, base in (
+            (listless, Assignment({"a1": "b1"}), Assignment({"a1": "b1", "a2": None}), unmatched),
+            (ex1, Assignment({**M_LEGAL.mapping, "4": None}), M_LEGAL, M_STABLE)):
+        assert m == full
+        assert READERS[reader](inst, m, base) == READERS[reader](inst, full, base)
 
 
 def test_oracle_rejects_an_assignment_that_leaves_out_a_student(ex1, ex5):
@@ -494,5 +558,8 @@ def test_oracle_imports_only_the_model_and_consent_helpers():
     path = Path(legalassign.__file__).with_name("oracle.py")
     imports = _package_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert {module for module, _ in imports} <= {"model", "eadam"}
+    # the one assignment reader, and no cross-rank reader
+    assert {name for module, name in imports if module == "model"} == {
+        "Assignment", "Instance", "_positions"}
     assert {name for module, name in imports if module == "eadam"} <= {
         "ConsentSet", "_consent_flags"}
