@@ -642,7 +642,9 @@ def parse_instance(text: str) -> Instance:
                         name, _, qpart = tok.partition("[")
                         qtext = qpart[:-1]
                         try:
-                            q = int(qtext)
+                            if not (qtext.isascii() and qtext.isdigit()):  # only what to_text writes
+                                raise ValueError
+                            q = int(qtext)  # which also refuses a number of thousands of digits
                         except ValueError:
                             raise ParseError(f"bad quota {qtext!r} for school {name!r}",
                                              lineno) from None

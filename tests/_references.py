@@ -659,6 +659,8 @@ def parse_instance_reference(text: str) -> Instance:
                     name, _, qpart = tok.partition("[")
                     qtext = qpart[:-1]
                     try:
+                        if not (qtext.isascii() and qtext.isdigit()):  # only what to_text writes
+                            raise ValueError
                         q = int(qtext)
                     except ValueError:
                         raise ParseError(f"bad quota {qtext!r} for school {name!r}", lineno) from None

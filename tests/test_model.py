@@ -57,6 +57,10 @@ def test_comments_and_blank_lines_ignored(ex1):
     ("instance v1\nstudents: a\nschools: b b\n", "duplicate school"),
     ("instance v1\nstudents: a\nschools: a\n", None),
     ("instance v1\nstudents: a\nschools: b[0]\n", "quota"),
+    # int() reads these, but to_text writes a quota in ASCII digits only
+    ("instance v1\nstudents: a\nschools: b[2_0]\n", "bad quota '2_0' for school 'b'"),
+    ("instance v1\nstudents: a\nschools: b[+2]\n", "bad quota '+2' for school 'b'"),
+    ("instance v1\nstudents: a\nschools: b[\u0663]\n", "bad quota '\u0663' for school 'b'"),
     ("instance v1\nstudents: a\nschools: b\na: c\n", None),
     ("instance v1\nstudents: a\nschools: b\na: b b\n", None),
     ("instance v1\nstudents: a\nschools: b\na: b\n", "asymmetric"),

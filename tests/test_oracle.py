@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import random
+import time
 import tracemalloc
 from functools import reduce
 from itertools import compress, product
@@ -9,6 +10,7 @@ from operator import or_
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,8 @@ from legalassign import (Assignment, ConsentSet, GenConfig, OracleCapError,
                          parse_latin, rotate_remove_consent, verify_legal_property,
                          xor_latin)
 from legalassign.model import _positions
-from legalassign.oracle import _Assignments, _dominating, _universe, _Universe
+from legalassign.oracle import (DEFAULT_CAP, _Assignments, _dominating, _enumerate, _universe,
+                               _Universe, _walk)
 
 from _markets import random_consent, random_market
 import _references
@@ -91,12 +94,23 @@ def test_verify_legal_property(ex1):
     assert overshoot.internal_witness is not None
 
 
+def _masks(uni) -> tuple[list[int], list[int]]:
+    """The universe's (own, blocked_by) matrices as one int per assignment,
+    bit k for edge k: the reference's form."""
+    def per_assignment(matrix):
+        bits = np.unpackbits(matrix, axis=1, count=len(uni.assignments), bitorder="little")
+        return [int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little")
+                for col in bits.T]
+    return per_assignment(uni.own), per_assignment(uni.blocked_by)
+
+
 def test_blocking_digraph_agrees_with_blocks(ex1):
     uni = _Universe.build(ex1)
-    for u, own in zip(uni.assignments, uni.own):
-        for v, blocked_by in zip(uni.assignments, uni.blocked_by):
+    owns, blocked = _masks(uni)
+    for u, own in zip(uni.assignments, owns):
+        for v, blocked_by in zip(uni.assignments, blocked):
             assert bool(own & blocked_by) == blocks(ex1, u, v)
-    assert not any(own & uni.blocked_by[uni.assignments.index(M_STABLE)] for own in uni.own)
+    assert not any(own & blocked[uni.assignments.index(M_STABLE)] for own in owns)
 
 
 def test_legal_edges_ex1(ex1):
@@ -279,9 +293,48 @@ def test_cap_error_comes_before_the_masks_on_a_large_market():
     assert peak < 6_750_000
 
 
+def test_default_cap_trips_early_on_a_large_market():
+    # a frontier larger than the cap proves the universe larger, so the
+    # enumeration stops at the first such depth instead of storing every
+    # assignment up to the cap
+    inst = generate(GenConfig(1200, 10, seed=0))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(OracleCapError) as exc:
+            legal_fixed_point(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5
+    assert str(exc.value) == "assignment enumeration exceeds cap=1000000 (upper bound about 10^1250)"
+    assert peak < 100_000_000
+
+
+def _assert_rows_follow_the_walk(inst):
+    # the breadth-first rows are the depth-first walk's leaves, in order,
+    # and the per-depth cap check trips exactly when the universe passes it
+    rows = _enumerate(inst, DEFAULT_CAP)
+    assert rows.tolist() == [list(leaf) for leaf in _walk(
+        inst, [len(row) + 1 for row in inst._s_pref], DEFAULT_CAP)]
+    assert len(enumerate_assignments(inst, cap=len(rows))) == len(rows)
+    assert (_cap_message(lambda: enumerate_assignments(inst, len(rows) - 1))
+            == _cap_message(lambda: enumerate_assignments_reference(inst, len(rows) - 1)))
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_breadth_first_rows_follow_the_walk_on_fixtures(name):
+    _assert_rows_follow_the_walk(NAMED[name])
+
+
+def test_breadth_first_rows_follow_the_walk_on_random_markets():
+    for seed in range(300):
+        _assert_rows_follow_the_walk(random_market(random.Random(seed)))
+
+
 def _assert_masks_match_reference(inst):
     uni = _Universe.build(inst)
-    assert (uni.own, uni.blocked_by) == universe_masks_reference(inst, uni.assignments)
+    assert _masks(uni) == universe_masks_reference(inst, uni.assignments)
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))
@@ -319,7 +372,7 @@ def test_universe_masks_ignore_the_cross_rank_tables(seed):
         [[0] * len(row) for row in inst._s_pref], [[0] * len(row) for row in inst._b_pref])
     uni = _Universe.build(scrambled)
     own, blocked = universe_masks_reference(inst, uni.assignments)
-    assert (uni.own, uni.blocked_by) == (own, blocked)
+    assert _masks(uni) == (own, blocked)
     # the checks built on the universe: a set is legal iff exactly its
     # members are unblocked by it
     rng = random.Random(seed)
@@ -345,7 +398,7 @@ def test_universe_masks_agree_with_the_edge_predicate(seed):
     inst = random_market(random.Random(seed), max_students=5)
     edges = list(inst.edges())
     uni = _Universe.build(inst)
-    for m, own, blocked in zip(uni.assignments, uni.own, uni.blocked_by):
+    for m, own, blocked in zip(uni.assignments, *_masks(uni)):
         assert {e for k, e in enumerate(edges) if own >> k & 1} == m.matched_pairs
         assert [blocked >> k & 1 == 1 for k in range(len(edges))] == [
             is_blocking_pair(inst, m, a, b) for a, b in edges]
